@@ -322,18 +322,28 @@ let test_explore_violation_schedule_identical () =
 (* The checkpoint/restore engine ([~undo:true], the default) must be an
    invisible optimization: on any workload it reports the same stats,
    and surfaces the same first violation on the same schedule, as the
-   sibling-replay oracle ([~undo:false]) -- sequentially and across the
-   parallel frontier, under every persistency policy.  Rendering the
-   outcome (stats or violation+schedule) as one string makes any
-   disagreement a single comparison. *)
-let engine_outcome ?domains ?frontier_depth ?dedup ~max_crashes ~undo mk =
-  match Explore.explore ?domains ?frontier_depth ?dedup ~max_crashes ~undo ~mk () with
+   rebuild oracle ([~undo:false]) -- sequentially and across the
+   parallel frontier, under every persistency policy and every
+   reduction mode (raw/dedup/por/symmetry).  Rendering the outcome
+   (stats or violation+schedule) as one string makes any disagreement a
+   single comparison. *)
+let engine_outcome ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~undo mk =
+  match
+    Explore.explore ?domains ?frontier_depth ?dedup ?por ?symmetry ~max_crashes ~undo ~mk ()
+  with
   | s ->
-      Format.asprintf "stats{schedules=%d; nodes=%d; depth=%d; dedup_hits=%d; distinct=%d}"
-        s.Explore.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states
+      Format.asprintf
+        "stats{schedules=%d; nodes=%d; depth=%d; dedup_hits=%d; distinct=%d; por_pruned=%d; \
+         symmetry_hits=%d}"
+        s.Explore.schedules s.nodes s.max_depth s.dedup_hits s.distinct_states s.por_pruned
+        s.symmetry_hits
   | exception Explore.Violation { v_msg = msg; v_schedule = sched; _ } ->
       Format.asprintf "%s at %a" msg Explore.pp_schedule sched
 
+(* [symmetry] needs dedup and a certificate with interchangeable
+   processes: the level-3 sticky-bit certificate (a two-member team) is
+   the smallest such workload, so symmetric cases use it whatever [ot]
+   says. *)
 let engine_gen =
   QCheck2.Gen.(
     let* ot = int_bound 1 in
@@ -341,28 +351,39 @@ let engine_gen =
     let* max_crashes = int_bound 1 in
     let* faithful = bool in
     let* dedup = bool in
-    return (ot, pol, max_crashes, faithful, dedup))
+    let* por = bool in
+    let* symmetry = if dedup then bool else return false in
+    return (ot, pol, max_crashes, faithful, dedup, por, symmetry))
 
-let print_engine_case (ot, pol, max_crashes, faithful, dedup) =
-  Printf.sprintf "ot=%s policy=%s crashes=%d faithful=%b dedup=%b"
-    (if ot = 0 then "S_2" else "sticky")
+let print_engine_case (ot, pol, max_crashes, faithful, dedup, por, symmetry) =
+  Printf.sprintf "ot=%s policy=%s crashes=%d faithful=%b dedup=%b por=%b symmetry=%b"
+    (if symmetry then "sticky/3" else if ot = 0 then "S_2" else "sticky")
     (match pol with 0 -> "eager" | 1 -> "lossy" | _ -> "torn")
-    max_crashes faithful dedup
+    max_crashes faithful dedup por symmetry
 
-let engines_agree (ot_idx, pol, max_crashes, faithful, dedup) =
-  let ot = if ot_idx = 0 then Rcons_spec.Sn.make 2 else Rcons_spec.Sticky_bit.t in
+let engines_agree (ot_idx, pol, max_crashes, faithful, dedup, por, symmetry) =
+  let cert =
+    if symmetry then Helpers.cert_of Rcons_spec.Sticky_bit.t 3
+    else Helpers.cert_of (if ot_idx = 0 then Rcons_spec.Sn.make 2 else Rcons_spec.Sticky_bit.t) 2
+  in
+  let symmetry = if symmetry then Some (Certificate.symmetry_classes cert) else None in
   let policy = match pol with 0 -> Persist.Eager | 1 -> Persist.Lossy | _ -> Persist.Torn in
-  let mk = team_mk ~faithful (Helpers.cert_of ot 2) in
+  let mk = team_mk ~faithful cert in
+  (* por + dedup and symmetry are visit-order dependent and therefore
+     sequential only. *)
+  let domain_counts = if (por && dedup) || symmetry <> None then [ 1 ] else [ 1; 2; 4 ] in
   Persist.scoped policy (fun () ->
-      let reference = engine_outcome ~dedup ~max_crashes ~undo:true mk in
+      let reference = engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo:true mk in
       List.for_all
         (fun d ->
           let run undo =
-            if d = 1 then engine_outcome ~dedup ~max_crashes ~undo mk
-            else engine_outcome ~domains:d ~frontier_depth:2 ~dedup ~max_crashes ~undo mk
+            if d = 1 then engine_outcome ~dedup ~por ?symmetry ~max_crashes ~undo mk
+            else
+              engine_outcome ~domains:d ~frontier_depth:2 ~dedup ~por ?symmetry ~max_crashes ~undo
+                mk
           in
           run true = reference && run false = reference)
-        [ 1; 2; 4 ])
+        domain_counts)
 
 let qcheck_engines =
   QCheck_alcotest.to_alcotest
@@ -372,34 +393,40 @@ let qcheck_engines =
 
 (* An interrupted run cuts the same checkpoint under either engine --
    the JSON differs only in the tag naming who took it -- and either
-   engine resumes either checkpoint to the same final stats. *)
+   engine resumes either checkpoint to the same final stats, raw and
+   under dedup (where the checkpoint also carries the visited set). *)
 let test_checkpoint_engine_parity () =
   let mk = team_mk (Helpers.cert_of (Rcons_spec.Sn.make 2) 2) in
-  let interrupted undo =
-    match Explore.explore ~max_crashes:1 ~node_budget:200 ~undo ~mk () with
-    | (_ : Explore.stats) -> Alcotest.fail "node budget did not trip"
-    | exception Explore.Interrupted cp -> cp
-  in
-  let cp_undo = interrupted true and cp_replay = interrupted false in
-  let strip_engine cp =
-    match Explore.checkpoint_to_json cp with
-    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "engine") kvs)
-    | j -> j
-  in
-  Alcotest.(check string) "checkpoint JSON identical modulo engine tag"
-    (Json.to_string (strip_engine cp_undo))
-    (Json.to_string (strip_engine cp_replay));
-  let finish undo cp = Explore.explore ~max_crashes:1 ~resume_from:cp ~undo ~mk () in
-  let final = finish true cp_undo in
   List.iter
-    (fun (name, s) -> Alcotest.check stats_eq name final s)
-    [
-      ("undo resumes replay checkpoint", finish true cp_replay);
-      ("replay resumes undo checkpoint", finish false cp_undo);
-      ("replay resumes replay checkpoint", finish false cp_replay);
-      ("uninterrupted undo run", Explore.explore ~max_crashes:1 ~undo:true ~mk ());
-      ("uninterrupted replay run", Explore.explore ~max_crashes:1 ~undo:false ~mk ());
-    ]
+    (fun dedup ->
+      let mode = if dedup then "dedup" else "raw" in
+      let interrupted undo =
+        match Explore.explore ~dedup ~max_crashes:1 ~node_budget:200 ~undo ~mk () with
+        | (_ : Explore.stats) -> Alcotest.fail "node budget did not trip"
+        | exception Explore.Interrupted cp -> cp
+      in
+      let cp_undo = interrupted true and cp_replay = interrupted false in
+      let strip_engine cp =
+        match Explore.checkpoint_to_json cp with
+        | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "engine") kvs)
+        | j -> j
+      in
+      Alcotest.(check string)
+        (mode ^ ": checkpoint JSON identical modulo engine tag")
+        (Json.to_string (strip_engine cp_undo))
+        (Json.to_string (strip_engine cp_replay));
+      let finish undo cp = Explore.explore ~dedup ~max_crashes:1 ~resume_from:cp ~undo ~mk () in
+      let final = finish true cp_undo in
+      List.iter
+        (fun (name, s) -> Alcotest.check stats_eq (mode ^ ": " ^ name) final s)
+        [
+          ("undo resumes replay checkpoint", finish true cp_replay);
+          ("replay resumes undo checkpoint", finish false cp_undo);
+          ("replay resumes replay checkpoint", finish false cp_replay);
+          ("uninterrupted undo run", Explore.explore ~dedup ~max_crashes:1 ~undo:true ~mk ());
+          ("uninterrupted replay run", Explore.explore ~dedup ~max_crashes:1 ~undo:false ~mk ());
+        ])
+    [ false; true ]
 
 (* --- qcheck meta-test on random finite types --- *)
 
