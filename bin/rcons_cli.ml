@@ -77,9 +77,9 @@ let no_undo_arg =
     value & flag
     & info [ "no-undo" ]
         ~doc:
-          "Explore with the from-root replay engine instead of the default journaled \
-           checkpoint/restore engine.  Slower, kept as the correctness oracle: statistics, \
-           violations and checkpoints are byte-identical either way (also: RCONS_NO_UNDO=1).")
+          "Backtrack by re-executing the schedule prefix on a fresh system instead of rolling \
+           the journaled system back.  Slower, kept as the correctness oracle: statistics, \
+           violations and checkpoints are byte-identical either way.")
 
 (* Shared certificate-cache flags: where the persisted per-level scan
    results live, and an off switch.  Entries are revalidated against the
@@ -204,14 +204,40 @@ let impossible_cmd =
 module E = Rcons.Runtime.Explore
 module Cex = Rcons.Counterexample
 
+(* The command that resumes an interrupted run of [w] from [file]: it
+   names every non-default workload flag, because the checkpoint only
+   resumes the workload it was cut from. *)
+let resume_command (w : Cex.workload) ~max_crashes ~dedup ~file =
+  let cmd =
+    match w.Cex.log_slots with
+    | None ->
+        Printf.sprintf "rcons explore --type %s%s" w.Cex.type_name
+          (if w.Cex.level <> 2 then Printf.sprintf " --level %d" w.Cex.level else "")
+    | Some slots ->
+        Printf.sprintf "rcons log --type %s --slots %d --procs %d --exhaustive" w.Cex.type_name
+          slots w.Cex.level
+  in
+  String.concat ""
+    [
+      cmd;
+      (if w.Cex.faithful then "" else " --broken");
+      (match w.Cex.persist with
+      | Persist.Eager -> ""
+      | p -> " --persist " ^ Persist.policy_to_string p);
+      (if w.Cex.annotated then " --annotated" else "");
+      (if w.Cex.flush_cost <> 1 then Printf.sprintf " --flush-cost %d" w.Cex.flush_cost else "");
+      Printf.sprintf " --max-crashes %d" max_crashes;
+      (if dedup then " --dedup" else "");
+      " --resume " ^ file;
+    ]
+
 (* Exhaustively explore a counterexample workload (team consensus or
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
-   [resume_hint] is the command prefix echoed in the "resume with:"
-   line.  Exit codes: 0 done (violation or not), 1 workload does not
-   build, 2 bad input (corrupt checkpoint, invalid combination), 3
-   interrupted with a checkpoint saved. *)
-let run_exhaustive ~resume_hint w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget
-    ~time_budget ~checkpoint ~resume ~save_cex ~persist ~flush_cost ~no_undo =
+   Exit codes: 0 done (violation or not), 1 workload does not build, 2
+   bad input (corrupt checkpoint, checkpoint of another workload,
+   invalid combination), 3 interrupted with a checkpoint saved. *)
+let run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
+    ~checkpoint ~resume ~save_cex ~no_undo =
   if por && resume <> None then begin
     (* A reduced run prunes a different frontier than the checkpointed
        one walked; silently resuming would under-count.  Refuse. *)
@@ -240,11 +266,10 @@ let run_exhaustive ~resume_hint w ~max_crashes ~domains ~dedup ~por ~symmetry ~n
               (* The ambient cache makes the explorer record the policy
                  in provenance; each replayed system still gets its own
                  fresh cache (from the workload builder). *)
-              with_persist persist flush_cost @@ fun () ->
+              with_persist w.Cex.persist w.Cex.flush_cost @@ fun () ->
               E.explore ~max_crashes ~domains ~dedup ~por ?symmetry:classes ?node_budget
-                ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w)
-                ?undo:(if no_undo then Some false else None)
-                ~mk ()
+                ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w) ~undo:(not no_undo) ~mk
+                ()
             with
             | stats ->
                 Format.printf "exhaustive: %d schedules, %d nodes, max depth %d -- no violation@."
@@ -263,10 +288,9 @@ let run_exhaustive ~resume_hint w ~max_crashes ~domains ~dedup ~por ~symmetry ~n
                 let s = E.checkpoint_stats cp in
                 Format.printf
                   "interrupted: %d schedules, %d nodes explored so far; checkpoint -> %s@.resume \
-                   with: %s --max-crashes %d%s --resume %s@."
-                  s.E.schedules s.E.nodes file resume_hint max_crashes
-                  (if dedup then " --dedup" else "")
-                  file;
+                   with: %s@."
+                  s.E.schedules s.E.nodes file
+                  (resume_command w ~max_crashes ~dedup ~file);
                 3
             | exception E.Violation v ->
                 Format.printf "VIOLATION: %s at %a@." v.E.v_msg E.pp_schedule v.E.v_schedule;
@@ -342,10 +366,8 @@ let explore_cmd =
         2
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
-        run_exhaustive
-          ~resume_hint:(Printf.sprintf "rcons explore --type %s" name)
-          w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget ~checkpoint
-          ~resume ~save_cex ~persist ~flush_cost ~no_undo
+        run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
+          ~checkpoint ~resume ~save_cex ~no_undo
   in
   let type_name =
     Arg.(
@@ -490,12 +512,8 @@ let log_cmd =
           Cex.log ~faithful:(not broken) ~level:procs ~persist ~annotated ~flush_cost ~slots
             name
         in
-        run_exhaustive
-          ~resume_hint:
-            (Printf.sprintf "rcons log --type %s --slots %d --procs %d --exhaustive" name slots
-               procs)
-          w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget ~checkpoint
-          ~resume ~save_cex ~persist ~flush_cost ~no_undo
+        run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
+          ~checkpoint ~resume ~save_cex ~no_undo
     end
     else
       (* Randomized mode: drive the log to completion under a seeded

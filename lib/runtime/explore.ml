@@ -3,27 +3,31 @@
    The explorer enumerates every schedule of a freshly created system --
    each point chooses either a step of an unfinished process or a crash of
    a started, unfinished process (bounded by [max_crashes]) -- and runs a
-   user invariant after every choice.  OCaml continuations are one-shot,
-   so backtracking re-executes the schedule prefix from scratch on a fresh
-   system; process bodies must therefore be deterministic.
+   user invariant after every choice.  Process bodies must be
+   deterministic.
 
-   Spine reuse: the first child of every node continues the parent's live
-   system instead of replaying its prefix from the root, so the leftmost
-   descent of each subtree is free and only backtracking (later siblings)
-   pays the O(depth) replay.
+   Backtracking: one DFS walker serves every mode.  It drives ONE live
+   system down the tree and, after a child subtree has moved that system,
+   returns it to the node's state with a backtracking strategy:
 
-   Undo engine (default): instead of replaying, the walker keeps ONE
-   persistent system and snapshots it logically -- every mutation the
-   simulator performs while an {!Undo} journal is installed pushes an
-   inverse closure, [Sim.mark] records the journal length at a fork
-   point, and [Sim.rollback] pops back to it and rebuilds the one-shot
-   continuations by value-feeding (see sim.ml).  A sibling then costs
-   O(steps since the fork point) instead of O(depth), and the heap
-   fingerprint on the dedup path is recomputed only for containers
-   written since the last hash (see heap.ml).  The replay walker above
-   is kept verbatim as the correctness oracle ([RCONS_NO_UNDO=1],
-   [--no-undo], or [?undo:false]); both engines produce byte-identical
-   statistics, violations, and checkpoints in every mode.
+   - [Restore] (the default): every mutation the simulator performs while
+     an {!Undo} journal is installed pushes an inverse closure;
+     [Sim.mark] records the journal length before the child and
+     [Sim.rollback] pops back to it, rebuilding the one-shot continuations
+     by value-feeding (see sim.ml).  A sibling costs O(steps since the
+     fork point), and the heap fingerprint on the dedup path is recomputed
+     only for containers written since the last hash (see heap.ml).
+   - [Rebuild] (the oracle behind [?undo:false] / [--no-undo]): abandon
+     the system and re-execute the node's prefix from the root on a fresh
+     one -- O(depth) per sibling, but independent of the journal, so both
+     strategies must produce byte-identical statistics, violations and
+     checkpoints in every mode (test_parallel.ml pins it).
+
+   Both elide the last child's backtrack: nothing reads the system between
+   the final child's return and the enclosing backtrack (the parent's own,
+   or the walk's end), so that one restores both levels at once.  A chain
+   of returns out of a deep leftmost subtree then costs ONE continuation
+   rebuild (or one re-execution) instead of one per level.
 
    Pruning: crashing a process that has not taken a step since its last
    (re)start is a no-op in the model (it would restart at the beginning,
@@ -82,21 +86,27 @@
    concrete one, so violation replay needs no unwinding.
 
    Parallel mode ([domains > 1]): the tree is walked sequentially down to
-   [frontier_depth]; the nodes of that frontier -- in DFS order, which
-   with the fixed choice ordering is lexicographic order on schedules --
-   are then distributed across OCaml 5 domains, each re-executing its
-   subtree on its own fresh systems built by [mk].  Per-subtree statistics
-   are merged in frontier order, and if any subtree finds a violation the
-   one with the smallest frontier index wins (with an atomic watermark
-   cancelling subtrees that can no longer win), so the schedule reported
-   is exactly the one the sequential DFS would have raised first: results
-   of completed explorations are bit-identical to the sequential path.
-   With [dedup = true] the walkers instead share the visited set (their
+   [frontier_depth] (phase 1); the nodes of that frontier -- in DFS order,
+   which with the fixed choice ordering is lexicographic order on
+   schedules -- are then distributed across OCaml 5 domains (phase 2).
+   Journals and continuations are domain-local, so a frontier item is
+   handed over as its (prefix, crashes, sleep set): the receiving walker
+   re-executes the prefix once on a fresh system built by [mk], then runs
+   the chosen strategy below it.  In raw mode per-subtree statistics are
+   merged in frontier order, and if any subtree finds a violation the one
+   with the smallest frontier index wins (an atomic watermark cancels
+   subtrees that can no longer win), so the schedule reported is exactly
+   the one the sequential DFS would have raised first: results of
+   completed explorations are bit-identical to the sequential path.  With
+   [dedup = true] the walkers instead share the visited set (their
    statistics are order-independent, see above); if any walker finds a
    violation the run falls back to one sequential deduplicating pass,
    whose first violation is deterministic -- so seq and par dedup runs
    report identical stats and identical violation schedules, though the
-   dedup violation schedule may differ from the raw-mode one.
+   dedup violation schedule may differ from the raw-mode one.  Symmetry
+   reduction is sequential only: which member of an orbit is expanded
+   decides which edge targets beat their identity labeling, so
+   [symmetry_hits] would depend on the race between walkers.
 
    Budgets ([node_budget] / [time_budget], sequential mode only): instead
    of losing an interrupted exhaustive run, the explorer raises
@@ -106,7 +116,10 @@
    Resuming from the checkpoint re-descends the cursor spine without
    re-counting it, skips the fully-explored subtrees to its left, and
    continues the DFS exactly where it stopped, so the final statistics
-   are bit-identical to an uninterrupted run. *)
+   are bit-identical to an uninterrupted run.  The checkpoint names the
+   workload it was cut from ([fingerprint]); resuming it under another
+   workload is refused, since the cursor and counts would silently
+   describe a different tree. *)
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
 
@@ -159,7 +172,8 @@ type checkpoint = {
   cp_max_steps : int;
   cp_dedup : bool;
   cp_por : bool; (* recorded so a resume attempt fails loudly *)
-  cp_engine : string; (* "undo" | "replay": which engine took the cut *)
+  cp_engine : string; (* "undo" | "replay": which strategy took the cut *)
+  cp_workload : string option; (* the run's [?fingerprint], if it had one *)
 }
 
 exception Interrupted of checkpoint
@@ -169,7 +183,7 @@ let checkpoint_cursor cp = cp.cp_cursor
 
 let checkpoint_to_json cp =
   Json.Obj
-    [
+    ([
       ("version", Json.Int 1);
       ("kind", Json.String "explore-checkpoint");
       ("max_crashes", Json.Int cp.cp_max_crashes);
@@ -177,6 +191,9 @@ let checkpoint_to_json cp =
       ("dedup", Json.Bool cp.cp_dedup);
       ("por", Json.Bool cp.cp_por);
       ("engine", Json.String cp.cp_engine);
+    ]
+    @ (match cp.cp_workload with Some f -> [ ("workload", Json.String f) ] | None -> [])
+    @ [
       ( "stats",
         Json.Obj
           [
@@ -190,7 +207,7 @@ let checkpoint_to_json cp =
           ] );
       ("cursor", Schedule.to_json cp.cp_cursor);
       ("visited", Json.List (List.map (fun d -> Json.String (Digest.to_hex d)) cp.cp_visited));
-    ]
+    ])
 
 let checkpoint_of_json j =
   if (match Json.member "kind" j with Some (Json.String "explore-checkpoint") -> false | _ -> true)
@@ -219,9 +236,9 @@ let checkpoint_of_json j =
     cp_dedup = Json.to_bool (Json.field "dedup" j);
     cp_por = (match Json.member "por" j with Some b -> Json.to_bool b | None -> false);
     cp_engine =
-      (* Either engine may resume either cut -- the cursor format is
-         engine-independent -- but a checkpoint claiming an engine this
-         build does not know is from the future, and its cursor may
+      (* Either strategy may resume either cut -- the cursor format is
+         strategy-independent -- but a checkpoint claiming an engine
+         this build does not know is from the future, and its cursor may
          mean something else: refuse it rather than misresume. *)
       (match Json.member "engine" j with
       | None -> "replay" (* pre-undo checkpoints *)
@@ -229,6 +246,11 @@ let checkpoint_of_json j =
       | Some (Json.String e) ->
           invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
       | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
+    cp_workload =
+      (match Json.member "workload" j with
+      | None -> None (* checkpoints cut before workloads were recorded *)
+      | Some (Json.String f) -> Some f
+      | Some _ -> invalid_arg "Explore.checkpoint_of_json: workload must be a string");
   }
 
 let save_checkpoint ~file cp =
@@ -257,8 +279,8 @@ let load_checkpoint ~file =
   close_in ic;
   checkpoint_of_json (Json.parse_exn s)
 
-(* Per-walker statistics; one per domain in parallel mode, merged in
-   frontier order at the end. *)
+(* Per-walker statistics; one per frontier subtree in parallel mode,
+   summed at the end. *)
 type counter = {
   mutable c_schedules : int;
   mutable c_nodes : int;
@@ -277,6 +299,14 @@ let fresh_counter () =
     c_por_pruned = 0;
     c_symmetry_hits = 0;
   }
+
+let add_counter acc c =
+  acc.c_schedules <- acc.c_schedules + c.c_schedules;
+  acc.c_nodes <- acc.c_nodes + c.c_nodes;
+  acc.c_max_depth <- max acc.c_max_depth c.c_max_depth;
+  acc.c_dedup_hits <- acc.c_dedup_hits + c.c_dedup_hits;
+  acc.c_por_pruned <- acc.c_por_pruned + c.c_por_pruned;
+  acc.c_symmetry_hits <- acc.c_symmetry_hits + c.c_symmetry_hits
 
 let counter_of_stats s =
   {
@@ -309,18 +339,18 @@ exception Interrupt_at of choice list
 (* Internal: a budget tripped at this (forward) cursor prefix; the
    explore entry point converts it into [Interrupted] with a checkpoint. *)
 
-(* The checkpoint/restore engine is the default; [RCONS_NO_UNDO] (any
-   non-empty value other than "0") or [?undo:false] falls back to the
-   replay walker, kept verbatim as the correctness oracle. *)
-let undo_default () =
-  match Sys.getenv_opt "RCONS_NO_UNDO" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
+(* How the walker returns a node's system to the node's state once a
+   child subtree has moved it (see the header). *)
+type strategy = Restore | Rebuild
+
+(* The walker's system: rolled back in place under [Restore], replaced
+   by a freshly re-executed one under [Rebuild]. *)
+type live = { mutable sys : Sim.t; mutable check : unit -> unit }
 
 let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?domains
     ?(frontier_depth = 4) ?(dedup = false) ?(por = false) ?symmetry ?node_budget ?time_budget
-    ?resume_from ?fingerprint ?undo ~mk () =
-  let use_undo = match undo with Some b -> b | None -> undo_default () in
+    ?resume_from ?fingerprint ?(undo = true) ~mk () =
+  let strategy = if undo then Restore else Rebuild in
   let workers = Rcons_par.Pool.resolve_domains domains in
   let frontier_depth = max 1 frontier_depth in
   let budgeted = node_budget <> None || time_budget <> None in
@@ -330,6 +360,8 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     invalid_arg "Explore.explore: por + dedup is order-dependent and requires domains = 1";
   if symmetry <> None && not dedup then
     invalid_arg "Explore.explore: symmetry reduction requires dedup";
+  if symmetry <> None && workers > 1 then
+    invalid_arg "Explore.explore: symmetry reduction is order-dependent and requires domains = 1";
   (match resume_from with
   | Some cp ->
       if por then
@@ -343,7 +375,15 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
         invalid_arg
           (Printf.sprintf
              "Explore.explore: checkpoint was taken with max_crashes=%d max_steps=%d dedup=%b"
-             cp.cp_max_crashes cp.cp_max_steps cp.cp_dedup)
+             cp.cp_max_crashes cp.cp_max_steps cp.cp_dedup);
+      (* A checkpoint that names its workload resumes only that one;
+         unnamed (older) checkpoints resume anywhere, as before. *)
+      (match cp.cp_workload with
+      | Some w when Some w <> fingerprint ->
+          invalid_arg
+            (Printf.sprintf "Explore.explore: checkpoint was taken on workload %s, not %s" w
+               (Option.value fingerprint ~default:"(unnamed)"))
+      | _ -> ())
   | None -> ());
   let start_time = if time_budget = None then 0. else Unix.gettimeofday () in
   (* Budgets bound the work of THIS invocation, not of the whole
@@ -413,11 +453,11 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     (t, check)
   in
   (* The symmetry group is derived from the class list and the process
-     count of the first system built; computed once, in the main domain
-     (the root state is always fingerprinted before workers start). *)
-  let perms_cache = Atomic.make None in
+     count of the first system fingerprinted (symmetry runs on one
+     domain). *)
+  let perms_cache = ref None in
   let perms_for t =
-    match Atomic.get perms_cache with
+    match !perms_cache with
     | Some ps -> ps
     | None ->
         let ps =
@@ -425,7 +465,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
             ~classes:(match symmetry with Some c -> c | None -> assert false)
             (Sim.num_procs t)
         in
-        Atomic.set perms_cache (Some ps);
+        perms_cache := Some ps;
         ps
   in
   (* por + dedup identifies states by the ungraded fingerprint: remaining
@@ -491,50 +531,60 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     in
     collect (n - 1) []
   in
-  (* One DFS walker over the schedule tree (or, with [store], the state
-     graph).  [stop_depth = Some d] turns nodes at depth d into frontier
-     emissions instead of recursions (phase 1 of the parallel split);
-     [cancelled] is polled at every node by parallel subtree walkers.
-     [sys], when given, is a live system already positioned after
-     [prefix0]; the walker owns it (spine reuse).  [resume] is the
-     remaining cursor path of a checkpoint being resumed: its spine is
-     re-descended without counting, subtrees to its left are skipped, and
-     everything to its right runs normally.  [sleep0] is the node's
-     inherited sleep set (por mode; frontier items carry theirs into
-     phase 2).  The [stop_depth = None], no-cancellation, no-store,
-     no-resume instantiation is the plain sequential explorer. *)
-  let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store ?sys
-      ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
-    let budget_stats total =
-      {
-        schedules = cnt.c_schedules;
-        nodes = total;
-        max_depth = cnt.c_max_depth;
-        dedup_hits = cnt.c_dedup_hits;
-        distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
-        por_pruned = cnt.c_por_pruned;
-        symmetry_hits = cnt.c_symmetry_hits;
-      }
+  let stats_of ?nodes store cnt =
+    {
+      schedules = cnt.c_schedules;
+      nodes = Option.value nodes ~default:cnt.c_nodes;
+      max_depth = cnt.c_max_depth;
+      dedup_hits = cnt.c_dedup_hits;
+      distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
+      por_pruned = cnt.c_por_pruned;
+      symmetry_hits = cnt.c_symmetry_hits;
+    }
+  in
+  let over_budget cnt =
+    (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
+    ||
+    match time_budget with
+    | Some tb -> cnt.c_nodes land 255 = 0 && Unix.gettimeofday () -. start_time > tb
+    | None -> false
+  in
+  (* The DFS walker over the schedule tree (or, with [store], the state
+     graph).  [live] is positioned after [prefix0]; the walker moves it
+     down into each child and backtracks with [strategy].  [stop_depth =
+     Some d] turns nodes at depth d into frontier emissions instead of
+     recursions (phase 1 of the parallel split); [cancelled] is polled at
+     every node by parallel subtree walkers.  [resume] is the remaining
+     cursor path of a checkpoint being resumed: its spine is re-descended
+     without counting, subtrees to its left are skipped, and everything
+     to its right runs normally.  [sleep0] is the node's inherited sleep
+     set (por mode; frontier items carry theirs into phase 2).
+     Exceptions unwind WITHOUT backtracking -- the system is dead to this
+     walk either way, and [walk_from] abandons it. *)
+  let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
+      ?(resume = []) ?(sleep0 = []) live cnt prefix0 depth0 crashes0 =
+    (* Apply [c] to the live system and run the invariant. *)
+    let descend c prefix' =
+      guarded_apply live.sys c prefix';
+      match live.check () with
+      | () -> ()
+      | exception Violation_found msg ->
+          Sim.abandon live.sys;
+          raise (violation msg prefix')
     in
-    let over_budget () =
-      (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
-      ||
-      match time_budget with
-      | Some tb -> cnt.c_nodes land 255 = 0 && Unix.gettimeofday () -. start_time > tb
-      | None -> false
+    let rebuild prefix =
+      Sim.abandon live.sys;
+      let t, check = replay prefix in
+      live.sys <- t;
+      live.check <- check
     in
-    (* Expand one node: [sys] is live, positioned after [prefix], and is
-       consumed (handed to the first descended child, or abandoned at a
-       leaf / after the loop / on an exception). *)
-    let rec expand (t, check) prefix depth crashes_used resume sleep_in =
-      let cs = choices t crashes_used in
-      match cs with
-      | [] ->
-          Sim.abandon t;
-          cnt.c_schedules <- cnt.c_schedules + 1
+    let rec expand prefix depth crashes_used resume sleep_in =
+      let t = live.sys in
+      match choices t crashes_used with
+      | [] -> cnt.c_schedules <- cnt.c_schedules + 1 (* leaf; the system lives on *)
       | cs ->
-          (* Footprints are read off the live system at node entry,
-             before the first descended child consumes it. *)
+          (* Footprints are read off the system at node entry, before any
+             child moves it. *)
           let fps =
             if por then begin
               let n = Sim.num_procs t in
@@ -574,302 +624,83 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                 in
                 (find 0 cs, rest)
           in
-          (* The first child actually descended inherits the parent's
-             live system; under por the leading children may be asleep
-             (por and resume are mutually exclusive, so [sleep_in] fully
-             determines which).  -1: every child asleep, nobody takes
-             the live system. *)
-          let live_k =
-            if resume_idx >= 0 then resume_idx
-            else if not por then 0
-            else
-              let rec first k = function
-                | [] -> -1
-                | c :: tl -> if List.mem c sleep_in then first (k + 1) tl else k
-              in
-              first 0 cs
-          in
           let sleep = ref sleep_in in
-          let live = ref (Some (t, check)) in
-          let take_live () =
-            match !live with
-            | Some sys ->
-                live := None;
-                sys
-            | None -> assert false
-          in
-          let abandon_live () = match !live with Some (t, _) -> Sim.abandon t | None -> () in
-          (try
-             List.iteri
-               (fun k c ->
-                 if k < resume_idx then () (* left of the cursor: already explored *)
-                 else if por && List.mem c !sleep then
-                   (* Asleep: a sibling subtree already covers every
-                      interleaving this child would start (modulo swaps
-                      of independent transitions). *)
-                   cnt.c_por_pruned <- cnt.c_por_pruned + 1
-                 else begin
-                   let on_path = k = resume_idx && resume_rest <> [] in
-                   let depth' = depth + 1 in
-                   let prefix' = c :: prefix in
-                   let crashes' =
-                     match c with
-                     | Crash_choice _ -> crashes_used + 1
-                     | Step_choice _ -> crashes_used
-                   in
-                   let child_sleep =
-                     if por then List.filter (fun u -> indep u c) !sleep else []
-                   in
-                   let position () =
-                     (* A live system positioned after [prefix']; the
-                        first descended child continues the parent's
-                        system (spine reuse), later siblings replay. *)
-                     if k = live_k then begin
-                       let t, check = take_live () in
-                       guarded_apply t c prefix';
-                       (match check () with
-                       | () -> ()
-                       | exception Violation_found msg ->
-                           Sim.abandon t;
-                           raise (violation msg prefix'));
-                       (t, check)
-                     end
-                     else replay prefix'
-                   in
-                   (if on_path then
-                      (* Re-descend the checkpoint spine: counted and (in
-                         dedup mode) claimed before the interrupt, so
-                         neither is repeated. *)
-                      expand (position ()) prefix' depth' crashes' resume_rest []
-                    else begin
-                      cnt.c_nodes <- cnt.c_nodes + 1;
-                      let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-                      if total > max_nodes then raise (Budget_exceeded (budget_stats total));
-                      if budgeted && over_budget () then begin
-                        (* Roll the uncounted-on-resume node back out of
-                           the counters: the checkpoint's statistics are
-                           exactly those of the explored region. *)
-                        cnt.c_nodes <- cnt.c_nodes - 1;
-                        raise (Interrupt_at (List.rev prefix'))
-                      end;
-                      if cancelled () then raise Cancelled;
-                      if depth' > max_steps then
-                        raise (violation "step bound exceeded (wait-freedom?)" prefix');
-                      if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
-                      let frontier =
-                        match stop_depth with Some d -> depth' >= d | None -> false
-                      in
-                      match store with
-                      | None ->
-                          if frontier then emit prefix' crashes' child_sleep
-                          else expand (position ()) prefix' depth' crashes' [] child_sleep
-                      | Some st ->
-                          (* Dedup mode: position the child system even at
-                             the frontier (its fingerprint must be claimed
-                             before emission so phase 2 expands it exactly
-                             once). *)
-                          let sys' = position () in
-                          if st.st_claim cnt (fst sys') ~mask:(mask_of child_sleep) ~depth:depth'
-                          then
-                            if frontier then begin
-                              Sim.abandon (fst sys');
-                              emit prefix' crashes' child_sleep
-                            end
-                            else expand sys' prefix' depth' crashes' [] child_sleep
-                          else begin
-                            cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                            Sim.abandon (fst sys')
-                          end
-                    end);
-                   (* The child's subtree is now fully covered (explored
-                      here, emitted for phase 2, or claimed earlier), so
-                      later siblings may sleep on it. *)
-                   if por then sleep := c :: !sleep
-                 end)
-               cs;
-             (* In raw parallel phase 1 every child of a pre-frontier node
-                can be emitted rather than descended, leaving the parent's
-                system unconsumed; release it rather than leak its fiber
-                stacks. *)
-             abandon_live ()
-           with e ->
-             abandon_live ();
-             raise e)
-    in
-    (* Node entry checks, in the seed explorer's order. *)
-    if cancelled () then begin
-      (match sys with Some (t, _) -> Sim.abandon t | None -> ());
-      raise Cancelled
-    end;
-    if depth0 > max_steps then begin
-      (match sys with Some (t, _) -> Sim.abandon t | None -> ());
-      raise (violation "step bound exceeded (wait-freedom?)" prefix0)
-    end;
-    if depth0 > cnt.c_max_depth then cnt.c_max_depth <- depth0;
-    match stop_depth with
-    | Some d when depth0 >= d ->
-        (match sys with Some (t, _) -> Sim.abandon t | None -> ());
-        emit prefix0 crashes0 sleep0
-    | _ ->
-        let sys = match sys with Some s -> s | None -> replay prefix0 in
-        expand sys prefix0 depth0 crashes0 resume sleep0
-  in
-  (* The checkpoint/restore walker: ONE persistent system serves the
-     whole (sub)tree.  Entering a child marks the undo journal, applies
-     the choice in place and recurses; returning rolls the system back
-     to the mark ([Sim.rollback]), so a later sibling costs O(steps
-     since the fork point) instead of the O(depth) from-root replay the
-     walker above pays.  Counting, budget checks, pruning and
-     visited-claim order mirror [walk] operation for operation: the two
-     engines must produce byte-identical statistics in every mode (the
-     replay walker is kept verbatim above as the correctness oracle;
-     test_search.ml pins the equivalence).  Exceptions unwind WITHOUT
-     rolling back -- the system is dead to this walk either way, and
-     the owner who installed the journal abandons it ([with_undo]). *)
-  let walk_undo ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store ~sys
-      ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
-    let budget_stats total =
-      {
-        schedules = cnt.c_schedules;
-        nodes = total;
-        max_depth = cnt.c_max_depth;
-        dedup_hits = cnt.c_dedup_hits;
-        distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
-        por_pruned = cnt.c_por_pruned;
-        symmetry_hits = cnt.c_symmetry_hits;
-      }
-    in
-    let over_budget () =
-      (match node_budget with Some b -> cnt.c_nodes - base_nodes > b | None -> false)
-      ||
-      match time_budget with
-      | Some tb -> cnt.c_nodes land 255 = 0 && Unix.gettimeofday () -. start_time > tb
-      | None -> false
-    in
-    let t, check = sys in
-    (* Apply [c] to the persistent system and run the invariant; the
-       replay walker's [position]. *)
-    let descend c prefix' =
-      guarded_apply t c prefix';
-      match check () with
-      | () -> ()
-      | exception Violation_found msg ->
-          Sim.abandon t;
-          raise (violation msg prefix')
-    in
-    let rec expand prefix depth crashes_used resume sleep_in =
-      let cs = choices t crashes_used in
-      match cs with
-      | [] -> cnt.c_schedules <- cnt.c_schedules + 1 (* leaf; the system lives on *)
-      | cs ->
-          let fps =
-            if por then begin
-              let n = Sim.num_procs t in
-              if n > 30 then invalid_arg "Explore.explore: por supports at most 30 processes";
-              Array.init n (fun i ->
-                  match Sim.pending_footprint t i with
-                  | Some f -> f
-                  | None -> Rcons_spec.Footprint.Global)
+          (* Visit child [k] = [c]; true iff the live system was moved
+             into it (and so must be brought back before a sibling). *)
+          let visit k c =
+            let depth' = depth + 1 in
+            let prefix' = c :: prefix in
+            let crashes' =
+              match c with Crash_choice _ -> crashes_used + 1 | Step_choice _ -> crashes_used
+            in
+            if k = resume_idx && resume_rest <> [] then begin
+              (* Re-descend the checkpoint spine: counted and (in dedup
+                 mode) claimed before the interrupt, so neither is
+                 repeated. *)
+              descend c prefix';
+              expand prefix' depth' crashes' resume_rest [];
+              true
             end
-            else [||]
+            else begin
+              cnt.c_nodes <- cnt.c_nodes + 1;
+              let total = Atomic.fetch_and_add nodes_total 1 + 1 in
+              if total > max_nodes then raise (Budget_exceeded (stats_of ~nodes:total store cnt));
+              if budgeted && over_budget cnt then begin
+                (* Roll the uncounted-on-resume node back out of the
+                   counters: the checkpoint's statistics are exactly
+                   those of the explored region. *)
+                cnt.c_nodes <- cnt.c_nodes - 1;
+                raise (Interrupt_at (List.rev prefix'))
+              end;
+              if cancelled () then raise Cancelled;
+              if depth' > max_steps then
+                raise (violation "step bound exceeded (wait-freedom?)" prefix');
+              if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
+              let frontier = match stop_depth with Some d -> depth' >= d | None -> false in
+              let child_sleep = if por then List.filter (fun u -> indep u c) !sleep else [] in
+              match store with
+              | None ->
+                  if frontier then begin
+                    emit prefix' crashes' child_sleep;
+                    false
+                  end
+                  else begin
+                    descend c prefix';
+                    expand prefix' depth' crashes' [] child_sleep;
+                    true
+                  end
+              | Some st ->
+                  (* Dedup mode: position the child even at the frontier
+                     (its fingerprint must be claimed before emission so
+                     phase 2 expands it exactly once). *)
+                  descend c prefix';
+                  if st.st_claim cnt live.sys ~mask:(mask_of child_sleep) ~depth:depth' then
+                    if frontier then emit prefix' crashes' child_sleep
+                    else expand prefix' depth' crashes' [] child_sleep
+                  else cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
+                  true
+            end
           in
-          let indep u c =
-            match (u, c) with
-            | Step_choice p, Step_choice q ->
-                p <> q && Rcons_spec.Footprint.independent fps.(p) fps.(q)
-            | Crash_choice p, Crash_choice q -> p <> q && max_crashes - crashes_used >= 2
-            | Crash_choice p, Step_choice q | Step_choice q, Crash_choice p ->
-                p <> q && eager_model
-          in
-          let resume_idx, resume_rest =
-            match resume with
-            | [] -> (-1, [])
-            | c0 :: rest ->
-                let rec find k = function
-                  | [] ->
-                      invalid_arg
-                        "Explore.explore: resume cursor does not match this workload (different \
-                         mk or parameters?)"
-                  | c :: tl -> if c = c0 then k else find (k + 1) tl
-                in
-                (find 0 cs, rest)
-          in
-          let sleep = ref sleep_in in
-          (* Last-child elision: nothing reads the system between the
-             final child's return and the enclosing rollback (the
-             parent's own, or the walk's end), so the last child skips
-             its mark/rollback and lets that enclosing rollback restore
-             both levels in one journal pop.  A chain of returns out of
-             a deep leftmost subtree then costs ONE continuation rebuild
-             instead of one per level -- the dominant saving, since a
-             rebuild's fixed cost (discard + fresh fiber) dwarfs the
-             journal pops.  Observable order is untouched: elision only
-             moves WHEN state is restored, never what is walked. *)
           let last = List.length cs - 1 in
           List.iteri
             (fun k c ->
               if k < resume_idx then () (* left of the cursor: already explored *)
               else if por && List.mem c !sleep then
+                (* Asleep: a sibling subtree already covers every
+                   interleaving this child would start (modulo swaps of
+                   independent transitions). *)
                 cnt.c_por_pruned <- cnt.c_por_pruned + 1
               else begin
-                let on_path = k = resume_idx && resume_rest <> [] in
-                let depth' = depth + 1 in
-                let prefix' = c :: prefix in
-                let crashes' =
-                  match c with
-                  | Crash_choice _ -> crashes_used + 1
-                  | Step_choice _ -> crashes_used
-                in
-                let child_sleep =
-                  if por then List.filter (fun u -> indep u c) !sleep else []
-                in
-                let m = if k = last then None else Some (Sim.mark t) in
-                let restore () = match m with Some m -> Sim.rollback t m | None -> () in
-                (if on_path then begin
-                   (* Re-descend the checkpoint spine: counted and (in
-                      dedup mode) claimed before the interrupt. *)
-                   descend c prefix';
-                   expand prefix' depth' crashes' resume_rest [];
-                   restore ()
-                 end
-                 else begin
-                   cnt.c_nodes <- cnt.c_nodes + 1;
-                   let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-                   if total > max_nodes then raise (Budget_exceeded (budget_stats total));
-                   if budgeted && over_budget () then begin
-                     cnt.c_nodes <- cnt.c_nodes - 1;
-                     raise (Interrupt_at (List.rev prefix'))
-                   end;
-                   if cancelled () then raise Cancelled;
-                   if depth' > max_steps then
-                     raise (violation "step bound exceeded (wait-freedom?)" prefix');
-                   if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
-                   let frontier =
-                     match stop_depth with Some d -> depth' >= d | None -> false
-                   in
-                   match store with
-                   | None ->
-                       if frontier then emit prefix' crashes' child_sleep
-                       else begin
-                         descend c prefix';
-                         expand prefix' depth' crashes' [] child_sleep;
-                         restore ()
-                       end
-                   | Some st ->
-                       (* Dedup mode: position the child even at the
-                          frontier (its fingerprint must be claimed
-                          before emission, exactly as in [walk]). *)
-                       descend c prefix';
-                       if st.st_claim cnt t ~mask:(mask_of child_sleep) ~depth:depth' then begin
-                         if frontier then emit prefix' crashes' child_sleep
-                         else expand prefix' depth' crashes' [] child_sleep;
-                         restore ()
-                       end
-                       else begin
-                         cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                         restore ()
-                       end
-                 end);
+                (if k = last then ignore (visit k c) (* last-child elision *)
+                 else
+                   match strategy with
+                   | Restore ->
+                       let m = Sim.mark live.sys in
+                       if visit k c then Sim.rollback live.sys m
+                   | Rebuild -> if visit k c then rebuild prefix);
+                (* The child's subtree is now fully covered (explored
+                   here, emitted for phase 2, or claimed earlier), so later
+                   siblings may sleep on it. *)
                 if por then sleep := c :: !sleep
               end)
             cs
@@ -881,87 +712,114 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     | Some d when depth0 >= d -> emit prefix0 crashes0 sleep0
     | _ -> expand prefix0 depth0 crashes0 resume sleep0
   in
-  (* Journal ownership for undo-mode walks: the journal is installed
-     BEFORE the system is built, so every step value from the root on
-     lands in the per-process vlogs (rollback rebuilds continuations by
-     feeding them back); it is uninstalled -- flushing its telemetry --
-     when the walk ends, and the walk's single persistent system is
-     abandoned however the walk exits (normally, [Violation],
-     [Interrupt_at], [Cancelled], ...). *)
-  let with_undo mk_sys f =
-    Undo.install ();
-    Fun.protect ~finally:Undo.uninstall @@ fun () ->
-    let sys = mk_sys () in
-    Fun.protect ~finally:(fun () -> Sim.abandon (fst sys)) @@ fun () -> f sys
+  (* Walk ownership: build a system positioned after [prefix] (the
+     cross-domain handoff re-executes a frontier prefix this way) and
+     walk below it.  Under [Restore] the journal is installed BEFORE the
+     system is built, so every step value from the root on lands in the
+     per-process vlogs that rollback feeds back; it is uninstalled --
+     flushing its telemetry -- when the walk ends, and the live system is
+     abandoned however the walk exits.  The root state is claimed in the
+     visited store here: it is expanded, never reached through an edge
+     (on a resumed run it is already claimed and the claim is a no-op). *)
+  let walk_from ?stop_depth ?emit ?cancelled ?store ?resume ?sleep0 cnt prefix depth crashes =
+    let journal = strategy = Restore in
+    if journal then Undo.install ();
+    Fun.protect ~finally:(fun () -> if journal then Undo.uninstall ()) @@ fun () ->
+    let t, check = replay prefix in
+    let live = { sys = t; check } in
+    Fun.protect ~finally:(fun () -> Sim.abandon live.sys) @@ fun () ->
+    (match store with
+    | Some st when depth = 0 -> ignore (st.st_claim cnt t ~mask:0 ~depth:0)
+    | _ -> ());
+    walk ?stop_depth ?emit ?cancelled ?store ?resume ?sleep0 live cnt prefix depth crashes
   in
-  (* Claim the root state in the visited store and hand its live system
-     to the walker (the root is expanded, never reached through an edge).
-     On a resumed run the root is already claimed; the claim is then a
-     no-op returning [false]. *)
-  let claim_root store cnt =
-    let t, check = replay [] in
-    ignore (store.st_claim cnt t ~mask:0 ~depth:0);
-    (t, check)
-  in
-  let stats_of ?store cnt =
-    {
-      schedules = cnt.c_schedules;
-      nodes = cnt.c_nodes;
-      max_depth = cnt.c_max_depth;
-      dedup_hits = cnt.c_dedup_hits;
-      distinct_states = (match store with Some st -> st.st_distinct () | None -> 0);
-      por_pruned = cnt.c_por_pruned;
-      symmetry_hits = cnt.c_symmetry_hits;
-    }
-  in
-  (* Sequential runs (plain and resumed): convert a budget trip into a
-     self-describing checkpoint. *)
-  let run_seq ?store cnt resume =
-    match
-      if use_undo then
-        match store with
-        | Some st ->
-            with_undo
-              (fun () -> claim_root st cnt)
-              (fun sys -> walk_undo ~store:st ~sys ~resume cnt [] 0 0)
-        | None -> with_undo (fun () -> replay []) (fun sys -> walk_undo ~sys ~resume cnt [] 0 0)
-      else begin
-        match store with
-        | Some st ->
-            let sys = claim_root st cnt in
-            walk ~store:st ~sys ~resume cnt [] 0 0
-        | None -> walk ~resume cnt [] 0 0
-      end
-    with
-    | () -> stats_of ?store cnt
-    | exception Interrupt_at cursor ->
-        raise
-          (Interrupted
-             {
-               cp_cursor = cursor;
-               cp_stats = stats_of ?store cnt;
-               cp_visited = (match store with Some st -> st.st_elements () | None -> []);
-               cp_max_crashes = max_crashes;
-               cp_max_steps = max_steps;
-               cp_dedup = dedup;
-               cp_por = por;
-               cp_engine = (if use_undo then "undo" else "replay");
-             })
-  in
-  let run_seq_dedup () =
-    let cnt =
-      match resume_from with
-      | Some cp -> counter_of_stats cp.cp_stats
-      | None -> fresh_counter ()
-    in
-    if por then run_seq ~store:(masked_store ()) cnt []
+  let new_store () =
+    if not dedup then None
+    else if por then Some (masked_store ())
     else begin
       let vset = Rcons_par.Visited.create () in
       (match resume_from with
       | Some cp -> List.iter (fun d -> ignore (Rcons_par.Visited.add vset d)) cp.cp_visited
       | None -> ());
-      run_seq ~store:(visited_store vset) cnt
-        (match resume_from with Some cp -> cp.cp_cursor | None -> [])
+      Some (visited_store vset)
+    end
+  in
+  (* Sequential runs (plain and resumed): convert a budget trip into a
+     self-describing checkpoint. *)
+  let sequential () =
+    let store = new_store () in
+    let cnt, resume =
+      match resume_from with
+      | Some cp -> (counter_of_stats cp.cp_stats, cp.cp_cursor)
+      | None -> (fresh_counter (), [])
+    in
+    match walk_from ?store ~resume cnt [] 0 0 with
+    | () -> stats_of store cnt
+    | exception Interrupt_at cursor ->
+        raise
+          (Interrupted
+             {
+               cp_cursor = cursor;
+               cp_stats = stats_of store cnt;
+               cp_visited = (match store with Some st -> st.st_elements () | None -> []);
+               cp_max_crashes = max_crashes;
+               cp_max_steps = max_steps;
+               cp_dedup = dedup;
+               cp_por = por;
+               cp_engine = (match strategy with Restore -> "undo" | Rebuild -> "replay");
+               cp_workload = fingerprint;
+             })
+  in
+  (* Parallel runs.  Phase 1 walks the tree down to [frontier_depth],
+     emitting the frontier; a phase-1 violation does NOT abort at once:
+     in DFS order it comes after the complete subtrees of every frontier
+     node emitted before it, one of which may hold the violation the
+     sequential DFS would have reported first.  Phase 2 walks the
+     frontier subtrees across domains.  The watermark [best] cancels
+     subtrees whose result can no longer matter: in raw mode it is the
+     smallest frontier index known to hold a violation, and the merge
+     raises the first violation in frontier order (a phase-1 violation
+     orders after all of them); in dedup mode any violation drops it to
+     -1, cancelling everything, and the run falls back to one
+     deterministic sequential dedup pass. *)
+  let phase_split () =
+    let store = new_store () in
+    let cnt0 = fresh_counter () in
+    let frontier_rev = ref [] in
+    let emit prefix crashes sleep = frontier_rev := (prefix, crashes, sleep) :: !frontier_rev in
+    let phase1 =
+      match walk_from ~stop_depth:frontier_depth ~emit ?store cnt0 [] 0 0 with
+      | () -> None
+      | exception Violation v -> Some v
+    in
+    let frontier = Array.of_list (List.rev !frontier_rev) in
+    let best = Atomic.make max_int in
+    let rec lower i =
+      let b = Atomic.get best in
+      if i < b && not (Atomic.compare_and_set best b i) then lower i
+    in
+    let found i = lower (if dedup then -1 else i) in
+    if dedup && phase1 <> None then found 0;
+    let results =
+      Rcons_par.Pool.map ~domains:workers (Array.length frontier) (fun i ->
+          let cancelled () = Atomic.get best < i in
+          if cancelled () then None
+          else
+            let prefix, crashes, sleep0 = frontier.(i) in
+            let cnt = fresh_counter () in
+            match walk_from ~cancelled ?store ~sleep0 cnt prefix frontier_depth crashes with
+            | () -> Some (Ok cnt)
+            | exception Cancelled -> None
+            | exception Violation v ->
+                found i;
+                Some (Error v))
+    in
+    if dedup && Atomic.get best < max_int then sequential ()
+    else begin
+      Array.iter (function Some (Error v) -> raise (Violation v) | _ -> ()) results;
+      Option.iter (fun v -> raise (Violation v)) phase1;
+      Array.iter (function Some (Ok c) -> add_counter cnt0 c | _ -> ()) results;
+      stats_of store cnt0
     end
   in
   let saved_arena = Heap.current () in
@@ -1014,179 +872,4 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
          whole tree on top of the checkpoint's totals; return them
          unchanged instead. *)
       cp.cp_stats
-  | _ ->
-      if workers <= 1 then
-        if dedup then run_seq_dedup ()
-        else begin
-          let cnt =
-            match resume_from with
-            | Some cp -> counter_of_stats cp.cp_stats
-            | None -> fresh_counter ()
-          in
-          run_seq cnt (match resume_from with Some cp -> cp.cp_cursor | None -> [])
-        end
-      else if dedup then begin
-        (* Parallel dedup: walkers share the visited set; exactly-once
-           expansion makes all statistics schedule-order independent, so no
-           watermark is needed for pass runs.  Any violation falls back to
-           the deterministic sequential dedup pass (see header comment). *)
-        let store = visited_store (Rcons_par.Visited.create ()) in
-        let frontier_rev = ref [] in
-        let cnt0 = fresh_counter () in
-        let violated = Atomic.make false in
-        (* A frontier item (prefix, crashes, sleep) is the compact
-           journal-delta token of the handoff: undo journals (and the
-           continuations they rebuild) are domain-local, so a subtree
-           cannot ship its live system across domains -- the receiving
-           walker replays the prefix once to re-materialize the fork
-           point, then explores its whole subtree by rollback. *)
-        let emit_frontier prefix crashes sleep =
-          frontier_rev := (prefix, crashes, sleep) :: !frontier_rev
-        in
-        let phase1 =
-          match
-            if use_undo then
-              with_undo
-                (fun () -> claim_root store cnt0)
-                (fun sys ->
-                  walk_undo ~stop_depth:frontier_depth ~emit:emit_frontier ~store ~sys cnt0 [] 0 0)
-            else
-              let sys = claim_root store cnt0 in
-              walk ~stop_depth:frontier_depth ~emit:emit_frontier ~store ~sys cnt0 [] 0 0
-          with
-          | () -> Ok ()
-          | exception Violation _ -> Error ()
-        in
-        match phase1 with
-        | Error () -> run_seq_dedup ()
-        | Ok () -> (
-            let frontier = Array.of_list (List.rev !frontier_rev) in
-            let nf = Array.length frontier in
-            let results =
-              Rcons_par.Pool.map ~domains:workers nf (fun i ->
-                  if Atomic.get violated then None
-                  else
-                    let prefix, crashes, sleep = frontier.(i) in
-                    let cnt = fresh_counter () in
-                    let cancelled () = Atomic.get violated in
-                    match
-                      if use_undo then
-                        with_undo
-                          (fun () -> replay prefix)
-                          (fun sys ->
-                            walk_undo ~cancelled ~store ~sys ~sleep0:sleep cnt prefix
-                              frontier_depth crashes)
-                      else walk ~cancelled ~store ~sleep0:sleep cnt prefix frontier_depth crashes
-                    with
-                    | () -> Some (Ok cnt)
-                    | exception Cancelled -> None
-                    | exception Violation _ ->
-                        Atomic.set violated true;
-                        Some (Error ()))
-            in
-            match
-              Array.exists (function Some (Error ()) -> true | _ -> false) results
-            with
-            | true -> run_seq_dedup ()
-            | false ->
-                let merged =
-                  Array.fold_left
-                    (fun acc r ->
-                      match r with
-                      | Some (Ok c) ->
-                          {
-                            acc with
-                            schedules = acc.schedules + c.c_schedules;
-                            nodes = acc.nodes + c.c_nodes;
-                            max_depth = max acc.max_depth c.c_max_depth;
-                            dedup_hits = acc.dedup_hits + c.c_dedup_hits;
-                            por_pruned = acc.por_pruned + c.c_por_pruned;
-                            symmetry_hits = acc.symmetry_hits + c.c_symmetry_hits;
-                          }
-                      | Some (Error ()) | None -> acc)
-                    (stats_of cnt0) results
-                in
-                { merged with distinct_states = store.st_distinct () })
-      end
-      else begin
-        (* Phase 1: sequential walk down to the frontier.  A violation at
-           depth < frontier_depth does NOT abort immediately: in DFS order it
-           comes after the complete subtrees of every frontier node emitted
-           before it, so those subtrees must still be searched -- one of them
-           may contain the violation the sequential explorer would have
-           reported first. *)
-        let frontier_rev = ref [] in
-        let cnt0 = fresh_counter () in
-        (* See the dedup branch: the (prefix, crashes, sleep) triple is
-           the cross-domain handoff token; phase 2 replays it once. *)
-        let emit_frontier prefix crashes sleep =
-          frontier_rev := (prefix, crashes, sleep) :: !frontier_rev
-        in
-        let phase1_violation =
-          match
-            if use_undo then
-              with_undo
-                (fun () -> replay [])
-                (fun sys ->
-                  walk_undo ~stop_depth:frontier_depth ~emit:emit_frontier ~sys cnt0 [] 0 0)
-            else walk ~stop_depth:frontier_depth ~emit:emit_frontier cnt0 [] 0 0
-          with
-          | () -> None
-          | exception Violation v -> Some v
-        in
-        let frontier = Array.of_list (List.rev !frontier_rev) in
-        let nf = Array.length frontier in
-        (* Phase 2: fan the frontier subtrees out across domains.  [best] is
-           the smallest frontier index known to hold a violation; subtrees at
-           larger indices cancel themselves. *)
-        let best = Atomic.make max_int in
-        let rec lower i =
-          let b = Atomic.get best in
-          if i < b && not (Atomic.compare_and_set best b i) then lower i
-        in
-        let results =
-          Rcons_par.Pool.map ~domains:workers nf (fun i ->
-              if Atomic.get best < i then None
-              else
-                let prefix, crashes, sleep = frontier.(i) in
-                let cnt = fresh_counter () in
-                let cancelled () = Atomic.get best < i in
-                match
-                  if use_undo then
-                    with_undo
-                      (fun () -> replay prefix)
-                      (fun sys ->
-                        walk_undo ~cancelled ~sys ~sleep0:sleep cnt prefix frontier_depth crashes)
-                  else walk ~cancelled ~sleep0:sleep cnt prefix frontier_depth crashes
-                with
-                | () -> Some (Ok (stats_of cnt))
-                | exception Cancelled -> None
-                | exception Violation v ->
-                    lower i;
-                    Some (Error v))
-        in
-        (* Merge in frontier order: the first subtree violation is exactly the
-           first violation of the sequential DFS; a phase-1 violation orders
-           after every emitted subtree. *)
-        let first_violation =
-          Array.to_seq results
-          |> Seq.filter_map (function Some (Error v) -> Some v | _ -> None)
-          |> Seq.uncons
-        in
-        (match first_violation with Some (v, _) -> raise (Violation v) | None -> ());
-        (match phase1_violation with Some v -> raise (Violation v) | None -> ());
-        Array.fold_left
-          (fun acc r ->
-            match r with
-            | Some (Ok s) ->
-                {
-                  acc with
-                  schedules = acc.schedules + s.schedules;
-                  nodes = acc.nodes + s.nodes;
-                  max_depth = max acc.max_depth s.max_depth;
-                  por_pruned = acc.por_pruned + s.por_pruned;
-                }
-            | Some (Error _) -> acc
-            | None -> acc)
-          (stats_of cnt0) results
-      end
+  | _ -> if workers <= 1 then sequential () else phase_split ()

@@ -3,21 +3,19 @@
     Enumerates every schedule of a freshly created system -- each point
     chooses a step of an unfinished process or a crash of a started,
     unfinished process (at most [max_crashes] crashes) -- and runs the
-    user invariant after every choice.  OCaml continuations are one-shot,
-    so backtracking re-executes the schedule prefix on a fresh system;
-    process bodies must be deterministic.  The first child of each node
-    continues the parent's live system instead of replaying ("spine
-    reuse"), so the leftmost descent of every subtree is free.
+    user invariant after every choice; process bodies must be
+    deterministic.
 
-    By default the explorer avoids most replays altogether: a journaled
-    checkpoint/restore engine ({!Sim.mark} / {!Sim.rollback} over the
-    {!Undo} journal) keeps one persistent system per walker and rolls
-    it back to each fork point, so a sibling costs the steps since the
-    fork instead of the whole prefix.  [?undo:false] (or the
-    [RCONS_NO_UNDO] environment variable, or the CLI's [--no-undo])
-    selects the original replay walker, which is kept as the
-    correctness oracle: both engines produce byte-identical statistics,
-    violations, and checkpoints in every mode.
+    One walker drives one live system down the tree and, after each
+    child subtree, backtracks to the node's state.  By default it rolls
+    the system back in place ({!Sim.mark} / {!Sim.rollback} over the
+    {!Undo} journal), so a sibling costs the steps since the fork point
+    instead of the whole prefix.  [?undo:false] (the CLI's [--no-undo])
+    instead re-executes the node's prefix on a fresh system: the
+    correctness oracle, which produces byte-identical statistics,
+    violations, and checkpoints in every mode.  Either way the last
+    child's backtrack is left to the enclosing one, so the leftmost
+    descent of every subtree is free.
 
     Pruning: crashing a process that has not stepped since its last
     (re)start is a no-op in the model and is skipped, which also prunes
@@ -82,7 +80,8 @@
 
     With [?domains > 1] the schedule tree is split at [frontier_depth]:
     the top of the tree is walked sequentially, and each frontier subtree
-    is re-executed on its own domain with its own fresh systems.
+    is walked on some domain, below its prefix re-executed on a fresh
+    system.
 
     In raw mode, statistics are merged in frontier (= DFS =
     lexicographic) order and the violation reported, if any, is the one
@@ -94,6 +93,9 @@
     re-run whose first violation is, again, deterministic.  (The dedup
     violation schedule can differ from the raw-mode one -- dedup prunes
     some paths to a violating state -- but never between dedup runs.)
+    Symmetry reduction requires [domains = 1]: which member of an orbit
+    a parallel walker expands first would change
+    {!stats.symmetry_hits}.
 
     The only caveat is {!Budget_exceeded}: the global [max_nodes] bound
     is enforced across all domains, but the statistics payload of the
@@ -113,8 +115,9 @@
     statistics -- and any violation found -- are {b bit-identical} to an
     uninterrupted run, no matter how many times the run is cut and
     resumed.  Checkpoints serialize to JSON ({!save_checkpoint} /
-    {!load_checkpoint}) and embed the parameters they were taken under;
-    resuming with different [max_crashes] / [max_steps] / [dedup] is
+    {!load_checkpoint}) and embed the parameters and the workload
+    fingerprint they were taken under; resuming with different
+    [max_crashes] / [max_steps] / [dedup] or on another workload is
     refused. *)
 
 type choice = Schedule.choice = Step_choice of int | Crash_choice of int
@@ -231,7 +234,7 @@ val explore :
     semantics already require.
 
     [?dedup] (default [false]) turns on state-space deduplication (see
-    above).  Each replayed system is then built under a fresh {!Heap}
+    above).  Each system [mk] builds is then built under a fresh {!Heap}
     arena; the arena active before the call, if any, is restored on
     exit.
 
@@ -258,12 +261,14 @@ val explore :
     the checkpoint.
 
     [?fingerprint] is an optional workload identifier (object-type
-    digest) recorded in the violation provenance so that counterexample
-    artifacts can refuse replay against the wrong workload.
+    digest) recorded in the violation provenance, so that counterexample
+    artifacts can refuse replay against the wrong workload, and in
+    checkpoints: resuming a checkpoint that names a workload under a
+    different (or no) [?fingerprint] raises [Invalid_argument].
+    Checkpoints written before the field existed resume anywhere.
 
-    [?undo] selects the exploration engine: [true] (the default unless
-    [RCONS_NO_UNDO] is set to a non-empty value other than ["0"]) walks
-    with the checkpoint/restore engine, [false] with the replay oracle.
-    Checkpoints record the engine that took them and either engine
+    [?undo] selects the backtracking strategy: [true] (the default)
+    rolls the journaled system back, [false] re-executes the prefix
+    (the oracle).  Checkpoints record which one took them and either
     resumes either kind; a checkpoint naming an unknown engine is
     refused by {!checkpoint_of_json} ([Invalid_argument]). *)

@@ -11,8 +11,8 @@
     prefix.
 
     With no journal installed every hook degenerates to one branch, so
-    code outside the undo engine (unit tests, checkers, the replay
-    oracle behind [RCONS_NO_UNDO]/[--no-undo]) is unaffected.
+    code outside the undo engine (unit tests, checkers, the explorer's
+    re-execution oracle behind [--no-undo]) is unaffected.
 
     Counters (restores, entries pushed, peak footprint) accumulate
     journal-locally and flush to {!Rcons_par.Pool.Telemetry} on

@@ -236,6 +236,40 @@ let test_resume_parameter_mismatch_refused () =
       | (_ : Explore.stats) -> Alcotest.fail "mismatched resume accepted"
       | exception Invalid_argument _ -> ())
 
+(* A checkpoint names the workload it was cut from: resuming a lossy
+   run's checkpoint on the eager workload would walk a different tree
+   (and miss the lossy violation), so it is refused.  A checkpoint
+   without the field (written before it existed) still resumes. *)
+let test_resume_workload_mismatch_refused () =
+  let module Cex = Rcons.Counterexample in
+  let lossy = Cex.team2 ~persist:Persist.Lossy "S2" and eager = Cex.team2 "S2" in
+  let mk w = match Cex.mk w with Ok mk -> mk | Error e -> Alcotest.fail e in
+  let resume w cp =
+    Explore.explore ~max_crashes:1 ~resume_from:cp ~fingerprint:(Cex.fingerprint w) ~mk:(mk w) ()
+  in
+  match
+    Explore.explore ~max_crashes:1 ~node_budget:300 ~fingerprint:(Cex.fingerprint lossy)
+      ~mk:(mk lossy) ()
+  with
+  | (_ : Explore.stats) -> Alcotest.fail "budget should have tripped"
+  | exception Explore.Interrupted cp -> (
+      let json = Explore.checkpoint_to_json cp in
+      let cp = Explore.checkpoint_of_json json in
+      (match resume eager cp with
+      | (_ : Explore.stats) -> Alcotest.fail "checkpoint resumed on another workload"
+      | exception Invalid_argument _ -> ());
+      (match resume lossy cp with
+      | (_ : Explore.stats) -> Alcotest.fail "the lossy workload violates"
+      | exception Explore.Violation _ -> ());
+      let unnamed =
+        match json with
+        | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "workload") kvs)
+        | j -> j
+      in
+      match resume eager (Explore.checkpoint_of_json unnamed) with
+      | (_ : Explore.stats) -> ()
+      | exception Invalid_argument m -> Alcotest.fail ("unnamed checkpoint refused: " ^ m))
+
 (* --- counterexample artifacts --- *)
 
 let test_artifact_round_trip () =
@@ -275,5 +309,7 @@ let suite =
     Alcotest.test_case "resume: violation schedule preserved" `Quick test_resume_finds_violation;
     Alcotest.test_case "resume: parameter mismatch refused" `Quick
       test_resume_parameter_mismatch_refused;
+    Alcotest.test_case "resume: workload mismatch refused" `Quick
+      test_resume_workload_mismatch_refused;
     Alcotest.test_case "counterexample artifact round-trip" `Quick test_artifact_round_trip;
   ]

@@ -5,7 +5,7 @@
    - [~dedup:false] is byte-identical to the pre-dedup explorer -- the
      raw statistics on the Figure 2 and Figure 4 suites are hard-coded
      baselines captured from the seed explorer, so any accidental change
-     to raw-mode semantics (the spine-reuse replay in particular) fails
+     to raw-mode semantics (either backtracking strategy) fails
      loudly;
    - [~dedup:true] is deterministic: sequential and parallel runs report
      identical statistics on any domain count / frontier depth, and a

@@ -302,6 +302,8 @@ let test_reduced_validation () =
       Explore.explore ~symmetry:[ [ 0; 1 ] ] ~mk:(team_mk s2) ());
   expect_invalid "por+dedup on several domains" (fun () ->
       Explore.explore ~dedup:true ~por:true ~domains:4 ~mk:(team_mk s2) ());
+  expect_invalid "symmetry on several domains" (fun () ->
+      Explore.explore ~dedup:true ~symmetry:[ [ 0; 1 ] ] ~domains:4 ~mk:(team_mk s2) ());
   (* Interrupt a dedup run, then try to resume it with reduction on. *)
   let cp =
     match Explore.explore ~max_crashes:1 ~dedup:true ~node_budget:200 ~mk:(team_mk s2) () with
