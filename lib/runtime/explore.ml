@@ -550,27 +550,37 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     | None -> false
   in
   (* The DFS walker over the schedule tree (or, with [store], the state
-     graph).  [live] is positioned after [prefix0]; the walker moves it
-     down into each child and backtracks with [strategy].  [stop_depth =
-     Some d] turns nodes at depth d into frontier emissions instead of
-     recursions (phase 1 of the parallel split); [cancelled] is polled at
-     every node by parallel subtree walkers.  [resume] is the remaining
-     cursor path of a checkpoint being resumed: its spine is re-descended
-     without counting, subtrees to its left are skipped, and everything
-     to its right runs normally.  [sleep0] is the node's inherited sleep
-     set (por mode; frontier items carry theirs into phase 2).
-     Exceptions unwind WITHOUT backtracking -- the system is dead to this
-     walk either way, and [walk_from] abandons it. *)
+     graph) below [prefix0].  It builds one live system positioned after
+     [prefix0] (the cross-domain handoff re-executes a frontier prefix
+     this way), moves it down into each child and backtracks with
+     [strategy].  [stop_depth = Some d] turns nodes at depth d into
+     frontier emissions instead of recursions (phase 1 of the parallel
+     split); [cancelled] is polled at every node by parallel subtree
+     walkers.  [resume] is the remaining cursor path of a checkpoint
+     being resumed: its spine is re-descended without counting, subtrees
+     to its left are skipped, and everything to its right runs normally.
+     [sleep0] is the node's inherited sleep set (por mode; frontier items
+     carry theirs into phase 2).
+
+     Under [Restore] the journal is installed BEFORE the system is built,
+     so every step value from the root on lands in the per-process vlogs
+     that rollback feeds back; it is uninstalled -- flushing its
+     telemetry -- when the walk ends.  Exceptions unwind WITHOUT
+     backtracking: the system is dead to this walk either way, and is
+     abandoned however the walk exits. *)
   let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
-      ?(resume = []) ?(sleep0 = []) live cnt prefix0 depth0 crashes0 =
+      ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
+    let journal = strategy = Restore in
+    if journal then Undo.install ();
+    Fun.protect ~finally:(fun () -> if journal then Undo.uninstall ()) @@ fun () ->
+    let t, check = replay prefix0 in
+    let live = { sys = t; check } in
+    Fun.protect ~finally:(fun () -> Sim.abandon live.sys) @@ fun () ->
+    let root_mark = Sim.mark t in
     (* Apply [c] to the live system and run the invariant. *)
     let descend c prefix' =
       guarded_apply live.sys c prefix';
-      match live.check () with
-      | () -> ()
-      | exception Violation_found msg ->
-          Sim.abandon live.sys;
-          raise (violation msg prefix')
+      try live.check () with Violation_found msg -> raise (violation msg prefix')
     in
     let rebuild prefix =
       Sim.abandon live.sys;
@@ -625,62 +635,6 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                 (find 0 cs, rest)
           in
           let sleep = ref sleep_in in
-          (* Visit child [k] = [c]; true iff the live system was moved
-             into it (and so must be brought back before a sibling). *)
-          let visit k c =
-            let depth' = depth + 1 in
-            let prefix' = c :: prefix in
-            let crashes' =
-              match c with Crash_choice _ -> crashes_used + 1 | Step_choice _ -> crashes_used
-            in
-            if k = resume_idx && resume_rest <> [] then begin
-              (* Re-descend the checkpoint spine: counted and (in dedup
-                 mode) claimed before the interrupt, so neither is
-                 repeated. *)
-              descend c prefix';
-              expand prefix' depth' crashes' resume_rest [];
-              true
-            end
-            else begin
-              cnt.c_nodes <- cnt.c_nodes + 1;
-              let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-              if total > max_nodes then raise (Budget_exceeded (stats_of ~nodes:total store cnt));
-              if budgeted && over_budget cnt then begin
-                (* Roll the uncounted-on-resume node back out of the
-                   counters: the checkpoint's statistics are exactly
-                   those of the explored region. *)
-                cnt.c_nodes <- cnt.c_nodes - 1;
-                raise (Interrupt_at (List.rev prefix'))
-              end;
-              if cancelled () then raise Cancelled;
-              if depth' > max_steps then
-                raise (violation "step bound exceeded (wait-freedom?)" prefix');
-              if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
-              let frontier = match stop_depth with Some d -> depth' >= d | None -> false in
-              let child_sleep = if por then List.filter (fun u -> indep u c) !sleep else [] in
-              match store with
-              | None ->
-                  if frontier then begin
-                    emit prefix' crashes' child_sleep;
-                    false
-                  end
-                  else begin
-                    descend c prefix';
-                    expand prefix' depth' crashes' [] child_sleep;
-                    true
-                  end
-              | Some st ->
-                  (* Dedup mode: position the child even at the frontier
-                     (its fingerprint must be claimed before emission so
-                     phase 2 expands it exactly once). *)
-                  descend c prefix';
-                  if st.st_claim cnt live.sys ~mask:(mask_of child_sleep) ~depth:depth' then
-                    if frontier then emit prefix' crashes' child_sleep
-                    else expand prefix' depth' crashes' [] child_sleep
-                  else cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                  true
-            end
-          in
           let last = List.length cs - 1 in
           List.iteri
             (fun k c ->
@@ -691,47 +645,94 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
                    independent transitions). *)
                 cnt.c_por_pruned <- cnt.c_por_pruned + 1
               else begin
-                (if k = last then ignore (visit k c) (* last-child elision *)
-                 else
-                   match strategy with
-                   | Restore ->
-                       let m = Sim.mark live.sys in
-                       if visit k c then Sim.rollback live.sys m
-                   | Rebuild -> if visit k c then rebuild prefix);
+                (* The journal extent before the child ([Rebuild] keeps
+                   no journal and ignores it); the last child's backtrack
+                   is elided, so it needs none. *)
+                let m = if k < last then Sim.mark live.sys else root_mark in
+                let depth' = depth + 1 in
+                let prefix' = c :: prefix in
+                let crashes' =
+                  match c with Crash_choice _ -> crashes_used + 1 | Step_choice _ -> crashes_used
+                in
+                (* Whether the live system was moved into the child. *)
+                let moved =
+                  if k = resume_idx && resume_rest <> [] then begin
+                    (* Re-descend the checkpoint spine: counted and (in
+                       dedup mode) claimed before the interrupt, so
+                       neither is repeated. *)
+                    descend c prefix';
+                    expand prefix' depth' crashes' resume_rest [];
+                    true
+                  end
+                  else begin
+                    cnt.c_nodes <- cnt.c_nodes + 1;
+                    let total = Atomic.fetch_and_add nodes_total 1 + 1 in
+                    if total > max_nodes then
+                      raise (Budget_exceeded (stats_of ~nodes:total store cnt));
+                    if budgeted && over_budget cnt then begin
+                      (* Roll the uncounted-on-resume node back out of
+                         the counters: the checkpoint's statistics are
+                         exactly those of the explored region. *)
+                      cnt.c_nodes <- cnt.c_nodes - 1;
+                      raise (Interrupt_at (List.rev prefix'))
+                    end;
+                    if cancelled () then raise Cancelled;
+                    if depth' > max_steps then
+                      raise (violation "step bound exceeded (wait-freedom?)" prefix');
+                    if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
+                    let frontier = match stop_depth with Some d -> depth' >= d | None -> false in
+                    let child_sleep = if por then List.filter (fun u -> indep u c) !sleep else [] in
+                    match store with
+                    | None ->
+                        if frontier then begin
+                          emit prefix' crashes' child_sleep;
+                          false
+                        end
+                        else begin
+                          descend c prefix';
+                          expand prefix' depth' crashes' [] child_sleep;
+                          true
+                        end
+                    | Some st ->
+                        (* Dedup mode: position the child even at the
+                           frontier (its fingerprint must be claimed
+                           before emission so phase 2 expands it exactly
+                           once). *)
+                        descend c prefix';
+                        if st.st_claim cnt live.sys ~mask:(mask_of child_sleep) ~depth:depth'
+                        then
+                          if frontier then emit prefix' crashes' child_sleep
+                          else expand prefix' depth' crashes' [] child_sleep
+                        else cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
+                        true
+                  end
+                in
+                (* Last-child elision: the last child leaves its backtrack
+                   to the enclosing one. *)
+                if moved && k < last then begin
+                  match strategy with
+                  | Restore -> Sim.rollback live.sys m
+                  | Rebuild -> rebuild prefix
+                end;
                 (* The child's subtree is now fully covered (explored
-                   here, emitted for phase 2, or claimed earlier), so later
-                   siblings may sleep on it. *)
+                   here, emitted for phase 2, or claimed earlier), so
+                   later siblings may sleep on it. *)
                 if por then sleep := c :: !sleep
               end)
             cs
     in
+    (* The root state is expanded, never reached through an edge, so it
+       is claimed here (on a resumed run it already is, and the claim is
+       a no-op). *)
+    (match store with
+    | Some st when depth0 = 0 -> ignore (st.st_claim cnt t ~mask:0 ~depth:0)
+    | _ -> ());
     if cancelled () then raise Cancelled;
     if depth0 > max_steps then raise (violation "step bound exceeded (wait-freedom?)" prefix0);
     if depth0 > cnt.c_max_depth then cnt.c_max_depth <- depth0;
     match stop_depth with
     | Some d when depth0 >= d -> emit prefix0 crashes0 sleep0
     | _ -> expand prefix0 depth0 crashes0 resume sleep0
-  in
-  (* Walk ownership: build a system positioned after [prefix] (the
-     cross-domain handoff re-executes a frontier prefix this way) and
-     walk below it.  Under [Restore] the journal is installed BEFORE the
-     system is built, so every step value from the root on lands in the
-     per-process vlogs that rollback feeds back; it is uninstalled --
-     flushing its telemetry -- when the walk ends, and the live system is
-     abandoned however the walk exits.  The root state is claimed in the
-     visited store here: it is expanded, never reached through an edge
-     (on a resumed run it is already claimed and the claim is a no-op). *)
-  let walk_from ?stop_depth ?emit ?cancelled ?store ?resume ?sleep0 cnt prefix depth crashes =
-    let journal = strategy = Restore in
-    if journal then Undo.install ();
-    Fun.protect ~finally:(fun () -> if journal then Undo.uninstall ()) @@ fun () ->
-    let t, check = replay prefix in
-    let live = { sys = t; check } in
-    Fun.protect ~finally:(fun () -> Sim.abandon live.sys) @@ fun () ->
-    (match store with
-    | Some st when depth = 0 -> ignore (st.st_claim cnt t ~mask:0 ~depth:0)
-    | _ -> ());
-    walk ?stop_depth ?emit ?cancelled ?store ?resume ?sleep0 live cnt prefix depth crashes
   in
   let new_store () =
     if not dedup then None
@@ -753,7 +754,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       | Some cp -> (counter_of_stats cp.cp_stats, cp.cp_cursor)
       | None -> (fresh_counter (), [])
     in
-    match walk_from ?store ~resume cnt [] 0 0 with
+    match walk ?store ~resume cnt [] 0 0 with
     | () -> stats_of store cnt
     | exception Interrupt_at cursor ->
         raise
@@ -788,7 +789,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
     let frontier_rev = ref [] in
     let emit prefix crashes sleep = frontier_rev := (prefix, crashes, sleep) :: !frontier_rev in
     let phase1 =
-      match walk_from ~stop_depth:frontier_depth ~emit ?store cnt0 [] 0 0 with
+      match walk ~stop_depth:frontier_depth ~emit ?store cnt0 [] 0 0 with
       | () -> None
       | exception Violation v -> Some v
     in
@@ -807,7 +808,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
           else
             let prefix, crashes, sleep0 = frontier.(i) in
             let cnt = fresh_counter () in
-            match walk_from ~cancelled ?store ~sleep0 cnt prefix frontier_depth crashes with
+            match walk ~cancelled ?store ~sleep0 cnt prefix frontier_depth crashes with
             | () -> Some (Ok cnt)
             | exception Cancelled -> None
             | exception Violation v ->
