@@ -12,6 +12,8 @@
      collapses availability (never acks) instead of lying;
    - overload sheds explicitly (Overloaded answers, bounded queue) and
      every session still terminates;
+   - open-loop ops keep pinned counters and commit digests in three
+     small fleets (open-only, log, tight admission);
    - the incremental adversary API: [decide] respects crash budgets and
      windows, [crashes_injected] counts delivered crashes,
      [next_crash_hint] peeks the schedule. *)
@@ -175,6 +177,83 @@ let overload_sheds_and_terminates () =
   Alcotest.(check int) "audit: acked + gave_up = submitted" r.Instance.r_submitted
     (r.Instance.r_acked + r.Instance.r_gave_up)
 
+(* --- open-loop pins: exact counters and digests --- *)
+
+(* Three small fleets whose open-loop ops go through admission, dedup,
+   deadlines, backoff and give-up, each with its summary counters
+   (acked, submitted, retries, timeouts, overloads, gave_up, shed) and
+   commit digest pinned.  Any change to how open ops are driven --
+   arrival order, op ids, backoff draws, retry accounting -- shows up
+   here, not just as a cross-domain mismatch. *)
+let open_fleets =
+  let storm = Adversary.Storm { crash_prob = 0.08; burst = 2; max_crashes = 8 } in
+  [
+    ( "open-only universal",
+      List.init 2 (fun id ->
+          {
+            (Soak.default ~id ~seed:41) with
+            Instance.adversary = storm;
+            persist = Persist.Lossy;
+            sessions = 0;
+            open_ops = 12;
+            open_rate = 0.5;
+          }),
+      [ 24; 24; 27; 27; 0; 0; 0 ],
+      "61377aa8e24f69834ed11716e8eb7e71" );
+    ( "log with open ops",
+      List.init 2 (fun id ->
+          {
+            (Soak.default ~id ~seed:42) with
+            Instance.kind = Instance.Log;
+            cert = Some (Lazy.force cert2);
+            adversary = Adversary.Uniform { crash_prob = 0.06; max_crashes = 6 };
+            persist = Persist.Torn;
+            sessions = 3;
+            ops_per_session = 2;
+            open_ops = 5;
+            open_rate = 0.3;
+            queue_cap = 2;
+          }),
+      [ 22; 22; 49; 0; 49; 0; 49 ],
+      "1ca51bf063d2057da75e3f2d05691428" );
+    ( "tight admission",
+      List.init 2 (fun id ->
+          {
+            (Soak.default ~id ~seed:43) with
+            Instance.adversary = storm;
+            queue_cap = 1;
+            retry = { Backoff.default with Backoff.max_retries = 1; deadline = 24 };
+            sessions = 2;
+            ops_per_session = 2;
+            open_ops = 10;
+            open_rate = 1.5;
+          }),
+      [ 8; 28; 27; 10; 37; 20; 37 ],
+      "9e5625fdbbdde291bba7e3181e4a6296" );
+  ]
+
+let open_loop_pinned () =
+  List.iter
+    (fun (name, fleet, counters, digest) ->
+      let s = (Soak.run fleet).Soak.summary in
+      let got =
+        [
+          s.Soak.s_acked;
+          s.Soak.s_submitted;
+          s.Soak.s_retries;
+          s.Soak.s_timeouts;
+          s.Soak.s_overloads;
+          s.Soak.s_gave_up;
+          s.Soak.s_shed;
+        ]
+      in
+      Alcotest.(check (list int))
+        (name ^ ": acked submitted retries timeouts overloads gave_up shed")
+        counters got;
+      Alcotest.(check string) (name ^ ": commit digest") digest s.Soak.s_commit_digest;
+      Alcotest.(check int) (name ^ ": stuck") 0 s.Soak.s_stuck)
+    open_fleets
+
 (* --- config validation --- *)
 
 let validate_rejects () =
@@ -325,6 +404,7 @@ let suite =
       bare_log_never_acks;
     Alcotest.test_case "overload sheds explicitly and terminates" `Quick
       overload_sheds_and_terminates;
+    Alcotest.test_case "open-loop counters and digests are pinned" `Quick open_loop_pinned;
     Alcotest.test_case "config validation rejects inconsistent knobs" `Quick validate_rejects;
     Alcotest.test_case "metrics histogram units" `Quick metrics_units;
     Alcotest.test_case "backoff delays bounded, one draw each" `Quick backoff_units;
