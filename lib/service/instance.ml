@@ -79,8 +79,6 @@ let validate cfg =
 
 (* --- operations --- *)
 
-type owner = Closed of int | Open of int
-
 (* [Failed]: a log generation retired without committing the op's slot
    (reachable only without barriers); the next retry re-admits it. *)
 type op_status = Fresh | Queued | Inflight | Completed of int | Failed
@@ -88,17 +86,10 @@ type op_status = Fresh | Queued | Inflight | Completed of int | Failed
 type op_rec = {
   o_id : int;  (** dense per-instance id; the idempotency key *)
   o_op : Derived.counter_op;
-  o_owner : owner;
+  o_ses : int;  (** owning session *)
   mutable o_status : op_status;
   mutable o_submit : int;  (** first-submission tick; -1 before *)
   mutable o_acked : bool;
-}
-
-type open_rec = {
-  oo : op_rec;
-  mutable oo_phase : int;  (** 0 = trying/backing off, 1 = awaiting, 2 = resolved *)
-  mutable oo_due : int;  (** phase 0: next attempt tick; phase 1: deadline *)
-  mutable oo_tries : int;
 }
 
 (* --- backends --- *)
@@ -145,15 +136,13 @@ type t = {
   cfg : config;
   mutable now : int;
   queue : op_rec Admission.t;
-  sess : Session.t array;
-  closed_ops : op_rec option array array;  (** session -> idx -> op *)
+  sess : Session.t array;  (** closed sessions, then one per open op *)
+  sess_ops : op_rec option array array;  (** session -> idx -> op *)
   waiting : op_rec option array;
   sess_deadline : int array;
   wake_at : int array;  (** -1 = not sleeping *)
-  open_arr : open_rec option array;
-  mutable open_gen : int;
+  mutable open_gen : int;  (** open sessions started so far *)
   mutable open_acc : float;
-  open_rng : Random.State.t;
   adv : Adversary.t;
   be : backend;
   mutable all_ops : op_rec list;
@@ -202,17 +191,20 @@ type report = {
 
 let violation t msg = raise (Violation { instance = t.cfg.id; tick = t.now; msg })
 
-let fresh_op t ~owner ~op =
+let fresh_op t ~ses ~op =
   let r =
-    { o_id = t.next_oid; o_op = op; o_owner = owner; o_status = Fresh; o_submit = -1; o_acked = false }
+    { o_id = t.next_oid; o_op = op; o_ses = ses; o_status = Fresh; o_submit = -1; o_acked = false }
   in
   t.next_oid <- t.next_oid + 1;
   t.all_ops <- r :: t.all_ops;
   r
 
 (* Deterministic op mix: one Get every fourth (session, idx) pair, the
-   rest Incrs (log instances ignore the op payload). *)
-let op_for ~ses ~idx = if (ses + idx) mod 4 = 3 then Derived.Get else Derived.Incr
+   rest Incrs (log instances ignore the op payload); open op [j] counts
+   as the pair (-1, j). *)
+let op_for t ~ses ~idx =
+  let ses, idx = if ses < t.cfg.sessions then (ses, idx) else (-1, ses - t.cfg.sessions) in
+  if (ses + idx) mod 4 = 3 then Derived.Get else Derived.Incr
 
 let ack t r =
   r.o_acked <- true;
@@ -237,11 +229,11 @@ let rec settle t i =
 
 and on_call t i idx =
   let r =
-    match t.closed_ops.(i).(idx) with
+    match t.sess_ops.(i).(idx) with
     | Some r -> r
     | None ->
-        let r = fresh_op t ~owner:(Closed i) ~op:(op_for ~ses:i ~idx) in
-        t.closed_ops.(i).(idx) <- Some r;
+        let r = fresh_op t ~ses:i ~op:(op_for t ~ses:i ~idx) in
+        t.sess_ops.(i).(idx) <- Some r;
         r
   in
   match r.o_status with
@@ -268,11 +260,12 @@ and on_call t i idx =
         Some Session.Overloaded
       end
 
-(* The closed-loop client: submit each op, retry on Overloaded/Timeout
-   with jittered exponential backoff, give up after max_retries, think
-   briefly between ops. *)
-let client_body cfg rng ctx =
-  for idx = 0 to cfg.ops_per_session - 1 do
+(* The client: submit each op, retry on Overloaded/Timeout with
+   jittered exponential backoff, give up after max_retries.  A
+   closed-loop session thinks briefly after each op; an open-loop op is
+   a one-op session that does not think. *)
+let client_body cfg ~ops ~think rng ctx =
+  for idx = 0 to ops - 1 do
     let rec attempt n =
       match ctx.Session.call ~idx with
       | Session.Done _ -> ()
@@ -283,115 +276,44 @@ let client_body cfg rng ctx =
           end
     in
     attempt 0;
-    ctx.Session.sleep (1 + Random.State.int rng 4)
+    if think then ctx.Session.sleep (1 + Random.State.int rng 4)
   done
 
-(* --- open-loop ops (seeded arrival process; no fiber, a 3-state
-   machine per op sharing the same admission/dedup path) --- *)
-
-let retry_or_give_up t oo =
-  if oo.oo_tries >= t.cfg.retry.Backoff.max_retries then oo.oo_phase <- 2 (* gave up *)
-  else begin
-    let d = Backoff.delay t.cfg.retry ~rng:t.open_rng ~attempt:oo.oo_tries in
-    oo.oo_tries <- oo.oo_tries + 1;
-    oo.oo_phase <- 0;
-    oo.oo_due <- t.now + d
-  end
-
-let open_act t oo =
-  let r = oo.oo in
-  match r.o_status with
-  | Completed _ ->
-      if not r.o_acked then ack t r;
-      oo.oo_phase <- 2
-  | Queued | Inflight ->
-      if oo.oo_tries > 0 then t.retries <- t.retries + 1;
-      oo.oo_phase <- 1;
-      oo.oo_due <- t.now + t.cfg.retry.Backoff.deadline
-  | Fresh | Failed ->
-      if r.o_submit < 0 then r.o_submit <- t.now else t.retries <- t.retries + 1;
-      if Admission.try_enqueue t.queue r then begin
-        r.o_status <- Queued;
-        oo.oo_phase <- 1;
-        oo.oo_due <- t.now + t.cfg.retry.Backoff.deadline
-      end
-      else begin
-        t.overloads <- t.overloads + 1;
-        retry_or_give_up t oo
-      end
+(* --- open-loop arrivals: the seeded arrival process starts the next
+   one-op session; from then on it is a session like any other --- *)
 
 let open_phase t =
-  if t.cfg.open_ops > 0 then begin
-    if t.open_gen < t.cfg.open_ops then begin
-      t.open_acc <- t.open_acc +. t.cfg.open_rate;
-      while t.open_acc >= 1.0 && t.open_gen < t.cfg.open_ops do
-        t.open_acc <- t.open_acc -. 1.0;
-        let j = t.open_gen in
-        let r = fresh_op t ~owner:(Open j) ~op:(op_for ~ses:(-1) ~idx:j) in
-        t.open_arr.(j) <- Some { oo = r; oo_phase = 0; oo_due = t.now; oo_tries = 0 };
-        t.open_gen <- t.open_gen + 1
-      done
-    end;
-    for j = 0 to t.open_gen - 1 do
-      match t.open_arr.(j) with
-      | Some oo when oo.oo_phase = 0 && oo.oo_due <= t.now -> open_act t oo
-      | _ -> ()
+  if t.open_gen < t.cfg.open_ops then begin
+    t.open_acc <- t.open_acc +. t.cfg.open_rate;
+    while t.open_acc >= 1.0 && t.open_gen < t.cfg.open_ops do
+      t.open_acc <- t.open_acc -. 1.0;
+      let i = t.cfg.sessions + t.open_gen in
+      t.open_gen <- t.open_gen + 1;
+      Session.start t.sess.(i);
+      settle t i
     done
   end
 
-(* --- completion delivery (shared by both backends) --- *)
+(* --- completion delivery (shared by both backends and the sweep) --- *)
 
-let deliver_success t r resp =
-  match r.o_owner with
-  | Closed i -> (
-      match t.waiting.(i) with
-      | Some r' when r' == r ->
-          t.waiting.(i) <- None;
-          ack t r;
-          Session.answer t.sess.(i) (Session.Done resp);
-          settle t i
-      | _ -> () (* client away (backing off / gave up); picked up lazily *))
-  | Open j -> (
-      match t.open_arr.(j) with
-      | Some oo when oo.oo_phase = 1 ->
-          ack t r;
-          oo.oo_phase <- 2
-      | _ -> ())
-
-let deliver_failure t r =
-  match r.o_owner with
-  | Closed i -> (
-      match t.waiting.(i) with
-      | Some r' when r' == r ->
-          t.waiting.(i) <- None;
-          t.timeouts <- t.timeouts + 1;
-          Session.answer t.sess.(i) Session.Timeout;
-          settle t i
-      | _ -> ())
-  | Open j -> (
-      match t.open_arr.(j) with
-      | Some oo when oo.oo_phase = 1 ->
-          t.timeouts <- t.timeouts + 1;
-          retry_or_give_up t oo
-      | _ -> ())
+(* Answer [r]'s session if it is still awaiting [r]; a client that is
+   away (backing off / gave up) picks a completion up lazily. *)
+let deliver t r answer =
+  let i = r.o_ses in
+  match t.waiting.(i) with
+  | Some r' when r' == r ->
+      t.waiting.(i) <- None;
+      (match answer with Session.Done _ -> ack t r | _ -> t.timeouts <- t.timeouts + 1);
+      Session.answer t.sess.(i) answer;
+      settle t i
+  | _ -> ()
 
 (* --- deadline sweep --- *)
 
 let sweep t =
   for i = 0 to Array.length t.sess - 1 do
     match t.waiting.(i) with
-    | Some _ when t.sess_deadline.(i) <= t.now ->
-        t.waiting.(i) <- None;
-        t.timeouts <- t.timeouts + 1;
-        Session.answer t.sess.(i) Session.Timeout;
-        settle t i
-    | _ -> ()
-  done;
-  for j = 0 to t.open_gen - 1 do
-    match t.open_arr.(j) with
-    | Some oo when oo.oo_phase = 1 && oo.oo_due <= t.now ->
-        t.timeouts <- t.timeouts + 1;
-        retry_or_give_up t oo
+    | Some r when t.sess_deadline.(i) <= t.now -> deliver t r Session.Timeout
     | _ -> ()
   done
 
@@ -479,7 +401,7 @@ let tick_u t s =
       | _ ->
           r.o_status <- Completed resp;
           s.ops_since_check <- s.ops_since_check + 1);
-      deliver_success t r resp;
+      deliver t r (Session.Done resp);
       c.next_ack <- c.next_ack + 1
     done;
     if (not (u_busy s w)) && c.marks <> [] then begin
@@ -536,7 +458,7 @@ let ack_committed t g =
     let r = g.g_reqs.(slot) in
     let resp = Option.value ~default:(-1) (Rlog.decided_value g.g_log ~slot) in
     (match r.o_status with Completed _ -> () | _ -> r.o_status <- Completed resp);
-    deliver_success t r resp;
+    deliver t r (Session.Done resp);
     g.g_acked <- g.g_acked + 1
   done
 
@@ -566,7 +488,7 @@ let finish_gen t s g =
     | Completed _ -> ()
     | _ ->
         r.o_status <- Failed;
-        deliver_failure t r
+        deliver t r Session.Timeout
   done;
   Buffer.add_string t.commit_buf (Printf.sprintf "g%d:" s.gens);
   for slot = 0 to cfin - 1 do
@@ -685,23 +607,28 @@ let make cfg =
     | Universal -> make_universal cfg
     | Log -> B_l { l_cert = Option.get cfg.cert; gen = None; gens = 0 }
   in
+  let n = cfg.sessions + cfg.open_ops in
+  (* open sessions share one backoff RNG and start on arrival *)
+  let open_rng = Random.State.make [| cfg.seed; cfg.id; 555 |] in
   let t =
     {
       cfg;
       now = 0;
       queue = Admission.create ~cap:cfg.queue_cap;
       sess =
-        Array.init cfg.sessions (fun i ->
-            let rng = Random.State.make [| cfg.seed; cfg.id; 1000 + i |] in
-            Session.spawn (client_body cfg rng));
-      closed_ops = Array.init cfg.sessions (fun _ -> Array.make (max 1 cfg.ops_per_session) None);
-      waiting = Array.make cfg.sessions None;
-      sess_deadline = Array.make cfg.sessions 0;
-      wake_at = Array.make cfg.sessions (-1);
-      open_arr = Array.make (max 1 cfg.open_ops) None;
+        Array.init n (fun i ->
+            if i < cfg.sessions then
+              let rng = Random.State.make [| cfg.seed; cfg.id; 1000 + i |] in
+              Session.spawn (client_body cfg ~ops:cfg.ops_per_session ~think:true rng)
+            else Session.spawn (client_body cfg ~ops:1 ~think:false open_rng));
+      sess_ops =
+        Array.init n (fun i ->
+            Array.make (if i < cfg.sessions then max 1 cfg.ops_per_session else 1) None);
+      waiting = Array.make n None;
+      sess_deadline = Array.make n 0;
+      wake_at = Array.make n (-1);
       open_gen = 0;
       open_acc = 0.0;
-      open_rng = Random.State.make [| cfg.seed; cfg.id; 555 |];
       adv = Adversary.create ~seed:(cfg.seed + (31 * (cfg.id + 1))) cfg.adversary;
       be;
       all_ops = [];
@@ -724,25 +651,18 @@ let make cfg =
 
 (* --- termination --- *)
 
+(* Every open session has arrived (an unstarted one cannot be polled)
+   and every session has finished. *)
 let sessions_done t =
   let n = Array.length t.sess in
   let rec go i = i >= n || (Session.poised t.sess.(i) = Session.Finished && go (i + 1)) in
-  go 0
-
-let opens_done t =
-  t.open_gen >= t.cfg.open_ops
-  &&
-  let rec go j =
-    j >= t.open_gen
-    || ((match t.open_arr.(j) with Some oo -> oo.oo_phase = 2 | None -> false) && go (j + 1))
-  in
-  go 0
+  t.open_gen >= t.cfg.open_ops && go 0
 
 let backend_idle t =
   match t.be with B_u s -> not (u_any_busy s) | B_l s -> s.gen = None
 
 let done_cond t =
-  sessions_done t && opens_done t && Admission.is_empty t.queue && backend_idle t
+  sessions_done t && Admission.is_empty t.queue && backend_idle t
 
 let cleanup t =
   Array.iter Session.abort t.sess;
@@ -809,13 +729,13 @@ let run_inner cfg =
   let t = make cfg in
   let finished = ref false in
   (try
-     (* boot: start every session fiber (thundering herd by design --
-        admission sheds, jittered backoff spreads the re-arrivals) *)
-     Array.iteri
-       (fun i s ->
-         Session.start s;
-         settle t i)
-       t.sess;
+     (* boot: start every closed session fiber (thundering herd by
+        design -- admission sheds, jittered backoff spreads the
+        re-arrivals); open sessions start as they arrive *)
+     for i = 0 to cfg.sessions - 1 do
+       Session.start t.sess.(i);
+       settle t i
+     done;
      while (not !finished) && t.now < cfg.max_ticks do
        t.now <- t.now + 1;
        for i = 0 to Array.length t.sess - 1 do

@@ -15,12 +15,12 @@
 
     {2 Engine shape (one tick)}
 
-    wake backed-off sessions -> open-loop arrivals and retries ->
-    dispatch batches to idle workers (or start a log generation) ->
-    adversary crash decision ({!Rcons_runtime.Adversary.decide}) ->
-    step busy workers a bounded quantum -> deliver completions and close
-    recovery intervals -> sweep deadlines (timeout answers) -> windowed
-    online check at drain points.
+    wake sleeping sessions -> open-loop arrivals (each starts a one-op
+    session) -> dispatch batches to idle workers (or start a log
+    generation) -> adversary crash decision
+    ({!Rcons_runtime.Adversary.decide}) -> step busy workers a bounded
+    quantum -> deliver completions and close recovery intervals -> sweep
+    deadlines (timeout answers) -> windowed online check at drain points.
 
     Crashes arrive only at tick boundaries (quantum-granular crash
     points); recovery is the model's own: the crashed worker re-runs its
@@ -60,10 +60,14 @@ type config = {
   batch : int;  (** max ops dispatched to one worker per epoch *)
   queue_cap : int;  (** admission bound; beyond it submissions shed *)
   quantum : int;  (** max simulated steps per busy worker per tick *)
-  sessions : int;  (** closed-loop client sessions (effect fibers) *)
+  sessions : int;
+      (** closed-loop client sessions (effect fibers); open-loop ops run
+          as further one-op sessions, started on arrival *)
   ops_per_session : int;
-  open_rate : float;  (** open-loop arrivals per tick (0 = closed-loop only) *)
-  open_ops : int;  (** total open-loop ops to generate *)
+  open_rate : float;
+      (** open-loop arrivals per tick (0 = closed-loop only); each
+          arrival starts a one-op session with no think time *)
+  open_ops : int;  (** total open-loop ops, i.e. one-op sessions started on arrival *)
   retry : Backoff.policy;
   check_window : int;  (** ops per online-check window; 0 = final check only *)
   slots : int;  (** log: max slots per generation *)
@@ -106,8 +110,9 @@ type report = {
 }
 
 val run : config -> report
-(** Drive the instance to completion (every session finished, every open
-    op resolved, queue drained, final checks passed) or to [max_ticks].
+(** Drive the instance to completion (every open op arrived, every
+    session finished, queue drained, final checks passed) or to
+    [max_ticks].
 
     @raise Violation on any online or final checker failure, including a
     lost acknowledged op. *)
