@@ -238,7 +238,11 @@ let resume_command (w : Cex.workload) ~max_crashes ~dedup ~file =
    invalid combination), 3 interrupted with a checkpoint saved. *)
 let run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
     ~checkpoint ~resume ~save_cex ~no_undo =
-  if por && resume <> None then begin
+  if max_crashes < 0 then begin
+    Format.eprintf "--max-crashes must be >= 0 (got %d)@." max_crashes;
+    2
+  end
+  else if por && resume <> None then begin
     (* A reduced run prunes a different frontier than the checkpointed
        one walked; silently resuming would under-count.  Refuse. *)
     Format.eprintf "--resume cannot be combined with --por: reduced runs are not resumable@.";
@@ -363,6 +367,11 @@ let explore_cmd =
     | Some file, _ -> replay_artifact file
     | None, None ->
         Format.eprintf "one of --type or --replay is required@.";
+        2
+    | None, Some _ when level < 2 ->
+        (* [Recording.witness] raises on n < 2; keep it out of
+           user-facing output: one line, exit 2. *)
+        Format.eprintf "rcons explore: --level must be >= 2 (got %d)@." level;
         2
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
@@ -497,6 +506,10 @@ let log_cmd =
       time_budget checkpoint resume save_cex flush_cost no_undo =
     if slots < 1 then begin
       Format.eprintf "rcons log: --slots must be >= 1 (got %d)@." slots;
+      2
+    end
+    else if procs < 2 then begin
+      Format.eprintf "rcons log: --procs must be >= 2 (got %d)@." procs;
       2
     end
     else if exhaustive then begin
@@ -839,6 +852,12 @@ let serve_cmd =
     | Error msg ->
         Format.eprintf "%s@." msg;
         2
+    | Ok _ when instances < 0 ->
+        Format.eprintf "rcons serve: --instances must be >= 0 (got %d)@." instances;
+        2
+    | Ok _ when domains < 1 ->
+        Format.eprintf "rcons serve: --domains must be >= 1 (got %d)@." domains;
+        2
     | Ok adv -> (
         (* every 4th instance hosts the replicated log, the rest the
            universal counter -- the same mixed fleet as bench E15 *)
@@ -882,37 +901,45 @@ let serve_cmd =
                   }
               | _ -> base)
         in
-        match Soak.run ~domains cfgs with
-        | o ->
-            List.iter
-              (fun (r : Instance.report) ->
+        (* Bad knobs (--queue-cap 0, --ops=-1, ...) fail config
+           validation: one line, exit 2, before any instance runs. *)
+        match List.iter Instance.validate cfgs with
+        | exception Invalid_argument msg ->
+            Format.eprintf "rcons serve: %s@." msg;
+            2
+        | () -> (
+            match Soak.run ~domains cfgs with
+            | o ->
+                List.iter
+                  (fun (r : Instance.report) ->
+                    Format.printf
+                      "instance %2d %-9s ticks %6d acked %4d/%-4d retries %4d shed %4d crashes %3d \
+                       recoveries %3d checks %3d%s@."
+                      r.Instance.r_id r.Instance.r_kind r.Instance.r_ticks r.Instance.r_acked
+                      r.Instance.r_submitted r.Instance.r_retries r.Instance.r_shed
+                      r.Instance.r_crashes_delivered r.Instance.r_recoveries r.Instance.r_checks_run
+                      (if r.Instance.r_stuck then "  STUCK" else ""))
+                  o.Soak.reports;
+                let s = o.Soak.summary in
                 Format.printf
-                  "instance %2d %-9s ticks %6d acked %4d/%-4d retries %4d shed %4d crashes %3d \
-                   recoveries %3d checks %3d%s@."
-                  r.Instance.r_id r.Instance.r_kind r.Instance.r_ticks r.Instance.r_acked
-                  r.Instance.r_submitted r.Instance.r_retries r.Instance.r_shed
-                  r.Instance.r_crashes_delivered r.Instance.r_recoveries r.Instance.r_checks_run
-                  (if r.Instance.r_stuck then "  STUCK" else ""))
-              o.Soak.reports;
-            let s = o.Soak.summary in
-            Format.printf
-              "soak: %d instances, %d acked / %d submitted, %d gave up, %d shed, %d crashes \
-               delivered, %d recoveries, 0 violations@."
-              s.Soak.s_instances s.Soak.s_acked s.Soak.s_submitted s.Soak.s_gave_up s.Soak.s_shed
-              s.Soak.s_crashes_delivered s.Soak.s_recoveries;
-            Format.printf "latency p50/p99 = %d/%d ticks, recovery p99 = %d ticks@."
-              (Service.Metrics.percentile s.Soak.s_latency 0.50)
-              (Service.Metrics.percentile s.Soak.s_latency 0.99)
-              (Service.Metrics.percentile s.Soak.s_recovery 0.99);
-            Format.printf "commit digest %s (independent of --domains)@." s.Soak.s_commit_digest;
-            if s.Soak.s_stuck > 0 then begin
-              Format.eprintf "%d instances stuck at the tick budget@." s.Soak.s_stuck;
-              1
-            end
-            else 0
-        | exception Instance.Violation v ->
-            Format.eprintf "VIOLATION: instance %d, tick %d: %s@." v.instance v.tick v.msg;
-            1)
+                  "soak: %d instances, %d acked / %d submitted, %d gave up, %d shed, %d crashes \
+                   delivered, %d recoveries, 0 violations@."
+                  s.Soak.s_instances s.Soak.s_acked s.Soak.s_submitted s.Soak.s_gave_up
+                  s.Soak.s_shed s.Soak.s_crashes_delivered s.Soak.s_recoveries;
+                Format.printf "latency p50/p99 = %d/%d ticks, recovery p99 = %d ticks@."
+                  (Service.Metrics.percentile s.Soak.s_latency 0.50)
+                  (Service.Metrics.percentile s.Soak.s_latency 0.99)
+                  (Service.Metrics.percentile s.Soak.s_recovery 0.99);
+                Format.printf "commit digest %s (independent of --domains)@."
+                  s.Soak.s_commit_digest;
+                if s.Soak.s_stuck > 0 then begin
+                  Format.eprintf "%d instances stuck at the tick budget@." s.Soak.s_stuck;
+                  1
+                end
+                else 0
+            | exception Instance.Violation v ->
+                Format.eprintf "VIOLATION: instance %d, tick %d: %s@." v.instance v.tick v.msg;
+                1))
   in
   let instances =
     Arg.(value & opt int 8 & info [ "instances" ] ~doc:"Number of hosted instances (default 8).")
