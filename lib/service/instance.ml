@@ -661,8 +661,7 @@ let sessions_done t =
 let backend_idle t =
   match t.be with B_u s -> not (u_any_busy s) | B_l s -> s.gen = None
 
-let done_cond t =
-  sessions_done t && Admission.is_empty t.queue && backend_idle t
+let done_cond t = sessions_done t && Admission.is_empty t.queue && backend_idle t
 
 let cleanup t =
   Array.iter Session.abort t.sess;
