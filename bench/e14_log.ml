@@ -55,7 +55,6 @@ type random_row = {
   rr_violations : int; (* verdict or state-invariant failures *)
   rr_aborted : int; (* algorithm invariant raised mid-body (barrier-free) *)
   rr_stuck : int;
-  rr_wall_s : float; (* stdout only; NOT written to the JSON artifact *)
 }
 
 (* Crash probabilities are deliberately low: a run is ~130 simulated
@@ -107,28 +106,7 @@ let sweep name cert ~slots ~annotated ~policy ~adv_name ~adv_policy ~iters ~seed
               | exception Adversary.Stuck _ -> incr stuck)
         done)
   in
-  let per_kstep =
-    if !steps > 0 then 1000.0 *. float_of_int !committed /. float_of_int !steps else 0.0
-  in
-  let row =
-    {
-      rr_name = name;
-      rr_policy = policy_str policy;
-      rr_adversary = adv_name;
-      rr_annotated = annotated;
-      rr_iters = iters;
-      rr_steps = !steps;
-      rr_crashes = !crashes;
-      rr_committed = !committed;
-      rr_slots_per_kstep = per_kstep;
-      rr_recovery_hist = hist;
-      rr_recoveries = !recoveries;
-      rr_violations = !violations;
-      rr_aborted = !aborted;
-      rr_stuck = !stuck;
-      rr_wall_s = wall;
-    }
-  in
+  let per_kstep = Util.ratio (1000.0 *. float_of_int !committed) (float_of_int !steps) in
   Util.row
     "%-22s %-7s %-9s %s  committed=%5d/%d  %5.2f slots/kstep  crashes=%4d replays=%4d  viol=%-3d abort=%-3d stuck=%-2d (%.1fs, %.0f slots/s)@."
     name (policy_str policy) adv_name
@@ -136,8 +114,23 @@ let sweep name cert ~slots ~annotated ~policy ~adv_name ~adv_policy ~iters ~seed
     !committed (iters * slots) per_kstep !crashes
     (Array.to_list hist |> List.mapi (fun i c -> i * c) |> List.fold_left ( + ) 0)
     !violations !aborted !stuck wall
-    (if wall > 0. then float_of_int !committed /. wall else 0.);
-  row
+    (Util.ratio (float_of_int !committed) wall);
+  {
+    rr_name = name;
+    rr_policy = policy_str policy;
+    rr_adversary = adv_name;
+    rr_annotated = annotated;
+    rr_iters = iters;
+    rr_steps = !steps;
+    rr_crashes = !crashes;
+    rr_committed = !committed;
+    rr_slots_per_kstep = per_kstep;
+    rr_recovery_hist = hist;
+    rr_recoveries = !recoveries;
+    rr_violations = !violations;
+    rr_aborted = !aborted;
+    rr_stuck = !stuck;
+  }
 
 (* --- Series 2: exhaustive small sizes --- *)
 
@@ -161,77 +154,64 @@ let exhaustive name cert ~slots ~annotated ~policy ~max_crashes =
     under policy (fun () -> Explore.explore ~max_crashes ~dedup:true ~por:true ~mk ())
   in
   let r, dt = Util.time_it (fun () -> try Ok (run ()) with Explore.Violation v -> Error v) in
-  match r with
-  | Ok stats ->
-      Util.row "%-22s %-7s %s slots=%d crashes<=%d  no violation  %6d schedules %8d nodes (%.1fs)@."
-        name (policy_str policy)
-        (if annotated then "+barriers" else "bare     ")
-        slots max_crashes stats.Explore.schedules stats.Explore.nodes dt;
-      {
-        er_name = name;
-        er_policy = policy_str policy;
-        er_annotated = annotated;
-        er_slots = slots;
-        er_max_crashes = max_crashes;
-        er_nodes = stats.Explore.nodes;
-        er_schedules = stats.Explore.schedules;
-        er_violation = None;
-      }
-  | Error v ->
-      Util.row "%-22s %-7s %s slots=%d crashes<=%d  VIOLATION at depth %d: %s (%.1fs)@." name
-        (policy_str policy)
-        (if annotated then "+barriers" else "bare     ")
-        slots max_crashes
-        (List.length v.Explore.v_schedule)
-        v.Explore.v_msg dt;
-      {
-        er_name = name;
-        er_policy = policy_str policy;
-        er_annotated = annotated;
-        er_slots = slots;
-        er_max_crashes = max_crashes;
-        er_nodes = 0;
-        er_schedules = 0;
-        er_violation = Some v.Explore.v_msg;
-      }
+  let label = if annotated then "+barriers" else "bare     " in
+  let nodes, schedules, violation =
+    match r with
+    | Ok stats ->
+        Util.row "%-22s %-7s %s slots=%d crashes<=%d  no violation  %6d schedules %8d nodes (%.1fs)@."
+          name (policy_str policy) label slots max_crashes stats.Explore.schedules
+          stats.Explore.nodes dt;
+        (stats.Explore.nodes, stats.Explore.schedules, None)
+    | Error v ->
+        Util.row "%-22s %-7s %s slots=%d crashes<=%d  VIOLATION at depth %d: %s (%.1fs)@." name
+          (policy_str policy) label slots max_crashes
+          (List.length v.Explore.v_schedule)
+          v.Explore.v_msg dt;
+        (0, 0, Some v.Explore.v_msg)
+  in
+  {
+    er_name = name;
+    er_policy = policy_str policy;
+    er_annotated = annotated;
+    er_slots = slots;
+    er_max_crashes = max_crashes;
+    er_nodes = nodes;
+    er_schedules = schedules;
+    er_violation = violation;
+  }
 
 (* --- JSON artifact (byte-deterministic: no wall-clock fields) --- *)
 
 let write_json ~out ~slots random_rows exhaustive_rows =
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"slots\": %d,\n" slots;
-  p "  \"seed_offset\": %d,\n" !Util.seed_offset;
-  p "  \"random\": [\n";
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"name\": %S, \"policy\": %S, \"adversary\": %S, \"annotated\": %b, \"iters\": %d,\n"
-        r.rr_name r.rr_policy r.rr_adversary r.rr_annotated r.rr_iters;
-      p
-        "     \"steps\": %d, \"crashes\": %d, \"committed\": %d, \"slots_per_kstep\": %.3f,\n"
-        r.rr_steps r.rr_crashes r.rr_committed r.rr_slots_per_kstep;
-      p "     \"recoveries\": %d, \"violations\": %d, \"aborted\": %d, \"stuck\": %d,\n"
-        r.rr_recoveries r.rr_violations r.rr_aborted r.rr_stuck;
-      p "     \"recovery_steps_hist\": [%s]}%s\n"
-        (String.concat ", " (Array.to_list (Array.map string_of_int r.rr_recovery_hist)))
-        (if i = List.length random_rows - 1 then "" else ",")
-      )
-    random_rows;
-  p "  ],\n";
-  p "  \"exhaustive\": [\n";
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"name\": %S, \"policy\": %S, \"annotated\": %b, \"slots\": %d, \"max_crashes\": %d, \
-         \"nodes\": %d, \"schedules\": %d, \"violation\": %s}%s\n"
-        r.er_name r.er_policy r.er_annotated r.er_slots r.er_max_crashes r.er_nodes r.er_schedules
-        (match r.er_violation with None -> "null" | Some m -> Printf.sprintf "%S" m)
-        (if i = List.length exhaustive_rows - 1 then "" else ","))
-    exhaustive_rows;
-  p "  ]\n}\n";
-  close_out oc;
+  let open Util.Json in
+  let random r =
+    Obj
+      ([ ("name", String r.rr_name); ("policy", String r.rr_policy);
+         ("adversary", String r.rr_adversary); ("annotated", Bool r.rr_annotated) ]
+      @ Util.ints
+          [ ("iters", r.rr_iters); ("steps", r.rr_steps); ("crashes", r.rr_crashes);
+            ("committed", r.rr_committed) ]
+      @ [ ("slots_per_kstep", Util.fixed 3 r.rr_slots_per_kstep) ]
+      @ Util.ints
+          [ ("recoveries", r.rr_recoveries); ("violations", r.rr_violations);
+            ("aborted", r.rr_aborted); ("stuck", r.rr_stuck) ]
+      @ [ ( "recovery_steps_hist",
+            List (List.map (fun c -> Int c) (Array.to_list r.rr_recovery_hist)) ) ])
+  in
+  let exhaustive r =
+    Obj
+      ([ ("name", String r.er_name); ("policy", String r.er_policy);
+         ("annotated", Bool r.er_annotated) ]
+      @ Util.ints
+          [ ("slots", r.er_slots); ("max_crashes", r.er_max_crashes); ("nodes", r.er_nodes);
+            ("schedules", r.er_schedules) ]
+      @ [ ("violation", Option.fold ~none:Null ~some:(fun m -> String m) r.er_violation) ])
+  in
+  Util.write_json ~out
+    (Obj
+       [ ("slots", Int slots); ("seed_offset", Int !Util.seed_offset);
+         ("random", List (List.map random random_rows));
+         ("exhaustive", List (List.map exhaustive exhaustive_rows)) ]);
   Util.row "@.wrote %s (wall-clock columns are stdout-only; the artifact is seed-deterministic)@."
     out
 

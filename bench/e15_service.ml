@@ -20,7 +20,8 @@
    - the flagship recovery-time p99 must not exceed the floor recorded
      in the committed BENCH_service.json (deterministic, so enforceable
      on any machine; RCONS_BENCH_NO_FLOOR=1 skips, for local
-     experimentation with different configs). *)
+     experimentation with different configs).  A committed file that
+     does not parse is exit 2, before the soak runs. *)
 
 open Rcons.Runtime
 module Service = Rcons.Service
@@ -59,25 +60,19 @@ type row = {
 }
 
 let soak_cfgs ~name ~policy_name cfgs =
-  let n = List.length cfgs in
-  match Soak.run cfgs with
-  | o ->
-      {
-        w_adv = name;
-        w_policy = policy_name;
-        w_instances = n;
-        w_summary = o.summary;
-        w_violation = None;
-      }
-  | exception Instance.Violation v ->
-      {
-        w_adv = name;
-        w_policy = policy_name;
-        w_instances = n;
-        w_summary = Soak.summarize [];
-        w_violation =
-          Some (Printf.sprintf "instance %d tick %d: %s" v.instance v.tick v.msg);
-      }
+  let summary, violation =
+    match Soak.run cfgs with
+    | o -> (o.summary, None)
+    | exception Instance.Violation v ->
+        (Soak.summarize [], Some (Printf.sprintf "instance %d tick %d: %s" v.instance v.tick v.msg))
+  in
+  {
+    w_adv = name;
+    w_policy = policy_name;
+    w_instances = List.length cfgs;
+    w_summary = summary;
+    w_violation = violation;
+  }
 
 let soak_row ~name ~policy_name ~seed ~n ~adversary ~persist =
   soak_cfgs ~name ~policy_name (fleet ~seed ~n ~adversary ~persist ~annotated:true)
@@ -109,102 +104,55 @@ let print_row r =
 (* --- artifact --- *)
 
 let hist_json h =
-  "["
-  ^ String.concat ", "
-      (List.map (fun (v, c) -> Printf.sprintf "[%d, %d]" v c) (Metrics.sparse h))
-  ^ "]"
+  Util.Json.(List (List.map (fun (v, c) -> List [ Int v; Int c ]) (Metrics.sparse h)))
 
-let summary_json ?(indent = "     ") (s : Soak.summary) =
-  let b = Buffer.create 512 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let throughput =
-    if s.Soak.s_ticks = 0 then 0.0
-    else 1000.0 *. float_of_int s.Soak.s_acked /. float_of_int s.Soak.s_ticks
-  in
-  let shed_rate =
-    let attempts = s.Soak.s_admitted + s.Soak.s_shed in
-    if attempts = 0 then 0.0 else float_of_int s.Soak.s_shed /. float_of_int attempts
-  in
-  p "{\n";
-  p "%s\"instances\": %d, \"ticks\": %d, \"sim_steps\": %d,\n" indent s.Soak.s_instances
-    s.Soak.s_ticks s.Soak.s_sim_steps;
-  p "%s\"submitted\": %d, \"acked\": %d, \"completed\": %d, \"completed_unacked\": %d, \
-     \"gave_up\": %d,\n"
-    indent s.Soak.s_submitted s.Soak.s_acked s.Soak.s_completed s.Soak.s_completed_unacked
-    s.Soak.s_gave_up;
-  p "%s\"retries\": %d, \"timeouts\": %d, \"overloads\": %d, \"shed\": %d, \"admitted\": %d, \
-     \"shed_rate\": %.4f,\n"
-    indent s.Soak.s_retries s.Soak.s_timeouts s.Soak.s_overloads s.Soak.s_shed s.Soak.s_admitted
-    shed_rate;
-  p "%s\"crashes_delivered\": %d, \"crashes_requested\": %d, \"recoveries\": %d, \
-     \"checks_run\": %d, \"generations\": %d, \"stuck\": %d,\n"
-    indent s.Soak.s_crashes_delivered s.Soak.s_crashes_requested s.Soak.s_recoveries
-    s.Soak.s_checks_run s.Soak.s_generations s.Soak.s_stuck;
-  p "%s\"throughput_acked_per_ktick\": %.3f,\n" indent throughput;
-  p "%s\"latency\": {\"p50\": %d, \"p99\": %d, \"p999\": %d, \"mean\": %.2f},\n" indent
-    (pct s.Soak.s_latency 0.50) (pct s.Soak.s_latency 0.99) (pct s.Soak.s_latency 0.999)
-    (Metrics.mean s.Soak.s_latency);
-  p "%s\"recovery\": {\"p50\": %d, \"p99\": %d, \"p999\": %d, \"hist\": %s},\n" indent
-    (pct s.Soak.s_recovery 0.50) (pct s.Soak.s_recovery 0.99) (pct s.Soak.s_recovery 0.999)
-    (hist_json s.Soak.s_recovery);
-  p "%s\"replay_slots\": {\"p50\": %d, \"p99\": %d, \"hist\": %s},\n" indent
-    (pct s.Soak.s_replay 0.50) (pct s.Soak.s_replay 0.99) (hist_json s.Soak.s_replay);
-  p "%s\"commit_digest\": %S}" indent s.Soak.s_commit_digest;
-  Buffer.contents b
-
-(* Carry the committed recovery-p99 floor forward: scan the existing
-   artifact for the field (the artifact is our own output; a one-line
-   scanner beats a JSON dependency). *)
-let committed_floor out =
-  if not (Sys.file_exists out) then None
-  else begin
-    let ic = open_in out in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    let key = "\"recovery_p99_floor\": " in
-    match String.index_opt s '\000' with
-    | Some _ -> None
-    | None -> (
-        let rec find i =
-          if i + String.length key > String.length s then None
-          else if String.sub s i (String.length key) = key then begin
-            let j = ref (i + String.length key) in
-            let start = !j in
-            while !j < String.length s && s.[!j] >= '0' && s.[!j] <= '9' do
-              incr j
-            done;
-            if !j > start then Some (int_of_string (String.sub s start (!j - start))) else None
-          end
-          else find (i + 1)
-        in
-        try find 0 with _ -> None)
-  end
+let summary_json (s : Soak.summary) =
+  let open Util.Json in
+  let pcts h ps extra = Obj (Util.ints (List.map (fun (k, p) -> (k, pct h p)) ps) @ extra) in
+  let p99 = [ ("p50", 0.50); ("p99", 0.99) ] in
+  let p999 = p99 @ [ ("p999", 0.999) ] in
+  Obj
+    (Util.ints
+       [ ("instances", s.s_instances); ("ticks", s.s_ticks); ("sim_steps", s.s_sim_steps);
+         ("submitted", s.s_submitted); ("acked", s.s_acked); ("completed", s.s_completed);
+         ("completed_unacked", s.s_completed_unacked); ("gave_up", s.s_gave_up);
+         ("retries", s.s_retries); ("timeouts", s.s_timeouts); ("overloads", s.s_overloads);
+         ("shed", s.s_shed); ("admitted", s.s_admitted) ]
+    @ [ ( "shed_rate",
+          Util.fixed 4
+            (Util.ratio (float_of_int s.s_shed) (float_of_int (s.s_admitted + s.s_shed))) ) ]
+    @ Util.ints
+        [ ("crashes_delivered", s.s_crashes_delivered);
+          ("crashes_requested", s.s_crashes_requested); ("recoveries", s.s_recoveries);
+          ("checks_run", s.s_checks_run); ("generations", s.s_generations); ("stuck", s.s_stuck) ]
+    @ [ ( "throughput_acked_per_ktick",
+          Util.fixed 3 (Util.ratio (1000.0 *. float_of_int s.s_acked) (float_of_int s.s_ticks)) );
+        ("latency", pcts s.s_latency p999 [ ("mean", Util.fixed 2 (Metrics.mean s.s_latency)) ]);
+        ("recovery", pcts s.s_recovery p999 [ ("hist", hist_json s.s_recovery) ]);
+        ("replay_slots", pcts s.s_replay p99 [ ("hist", hist_json s.s_replay) ]);
+        ("commit_digest", String s.s_commit_digest) ])
 
 let write_json ~out rows ~flagship ~flagship_floor ~digest_1dom ~digest_2dom ~negative_caught =
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"seed_offset\": %d,\n" !Util.seed_offset;
-  p "  \"sweep\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    {\"adversary\": %S, \"policy\": %S, \"instances\": %d,\n" r.w_adv r.w_policy
-        r.w_instances;
-      p "     \"violation\": %s,\n"
-        (match r.w_violation with None -> "null" | Some m -> Printf.sprintf "%S" m);
-      p "     \"summary\": %s}%s\n" (summary_json r.w_summary)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"flagship\": {\"adversary\": \"storm\", \"policy\": \"lossy\",\n";
-  p "   \"commit_digest_1dom\": %S, \"commit_digest_2dom\": %S,\n" digest_1dom digest_2dom;
-  p "   \"recovery_p99_floor\": %d,\n" flagship_floor;
-  p "   \"summary\": %s},\n" (summary_json flagship);
-  p "  \"negative_control\": {\"kind\": \"universal bare lossy storm\", \"caught\": %b}\n"
-    negative_caught;
-  p "}\n";
-  close_out oc;
+  let open Util.Json in
+  let row r =
+    Obj
+      [ ("adversary", String r.w_adv); ("policy", String r.w_policy);
+        ("instances", Int r.w_instances);
+        ("violation", Option.fold ~none:Null ~some:(fun m -> String m) r.w_violation);
+        ("summary", summary_json r.w_summary) ]
+  in
+  Util.write_json ~out
+    (Obj
+       [ ("seed_offset", Int !Util.seed_offset); ("sweep", List (List.map row rows));
+         ( "flagship",
+           Obj
+             [ ("adversary", String "storm"); ("policy", String "lossy");
+               ("commit_digest_1dom", String digest_1dom);
+               ("commit_digest_2dom", String digest_2dom);
+               ("recovery_p99_floor", flagship_floor); ("summary", summary_json flagship) ] );
+         ( "negative_control",
+           Obj [ ("kind", String "universal bare lossy storm"); ("caught", Bool negative_caught) ] )
+       ]);
   Util.row "@.wrote %s (all figures in simulated ticks; seed-deterministic)@." out
 
 (* --- the flagship soak: storm x lossy, >= 500 crash/recover events --- *)
@@ -215,6 +163,10 @@ let flagship_fleet ~seed =
     ~persist:Persist.Lossy ~annotated:true
 
 let run ?(out = "BENCH_service.json") () =
+  let recorded_floor =
+    Option.bind (Util.committed ~file:out)
+      (Util.number ~file:out [ "flagship"; "recovery_p99_floor" ])
+  in
   Util.section "E15: crash-churn service soak (sessions, backoff, online checking)";
   let seed = Util.seed 1500 in
   let fail = ref false in
@@ -326,17 +278,21 @@ let run ?(out = "BENCH_service.json") () =
      committed artifact and carry the committed value forward *)
   let measured = pct s.Soak.s_recovery 0.99 in
   let floor =
-    match committed_floor out with
+    match recorded_floor with
     | Some f ->
-        if Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" = None && measured > f then begin
-          Util.row "@.RECOVERY FLOOR FAILURE: p99 %d > committed floor %d@." measured f;
+        if
+          Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" = None
+          && float_of_int measured > Util.Json.to_float f
+        then begin
+          Util.row "@.RECOVERY FLOOR FAILURE: p99 %d > committed floor %s@." measured
+            (Util.Json.to_string f);
           fail := true
         end;
         f
     | None ->
         Util.row "@.no committed floor found; recording recovery p99 %d as the floor@."
           measured;
-        measured
+        Util.Json.Int measured
   in
 
   write_json ~out rows ~flagship:s ~flagship_floor:floor ~digest_1dom:d1 ~digest_2dom:d2

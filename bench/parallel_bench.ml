@@ -12,7 +12,8 @@
    which the granularity cutoff should keep near zero).
 
    Speedup floors: each workload carries a floor -- read back from the
-   committed BENCH_parallel.json when present, defaulted otherwise --
+   committed BENCH_parallel.json when present (a corrupt one is exit 2
+   before any work), defaulted otherwise --
    and when the machine has at least [domains] cores the bench exits
    non-zero if a workload's speedup drops below its floor.  This is what
    makes the 8-core bench-multicore CI job a regression gate and not
@@ -245,10 +246,8 @@ let reduction_ablation ~floor () =
   }
 
 let reduction_factor r =
-  if r.red_por_sym.Rcons.Runtime.Explore.nodes > 0 then
-    float_of_int r.red_dedup.Rcons.Runtime.Explore.nodes
-    /. float_of_int r.red_por_sym.Rcons.Runtime.Explore.nodes
-  else 0.
+  let nodes (s : Rcons.Runtime.Explore.stats) = float_of_int s.nodes in
+  Util.ratio (nodes r.red_dedup) (nodes r.red_por_sym)
 
 (* Exploration-engine comparison: the same raw 2-crash Figure 2 / S_2
    workload walked sequentially by the checkpoint/restore engine
@@ -296,17 +295,6 @@ let engine_bench ~floor () =
     eng_undo_t = undo_tele;
   }
 
-let engine_speedup e = if e.eng_undo > 0. then e.eng_replay /. e.eng_undo else 0.
-
-let recorded_engine_floor path =
-  if not (Sys.file_exists path) then None
-  else
-    let module J = Rcons.Runtime.Json in
-    match J.parse (In_channel.with_open_text path In_channel.input_all) with
-    | Error _ -> None
-    | Ok j -> (
-        try Option.map J.to_float (J.member "floor" (J.field "engine" j)) with _ -> None)
-
 (* Speedup floors (enforced at the headline domain count on machines
    with at least that many cores).  The committed BENCH_parallel.json is
    the source of truth: a floor recorded there is read back and enforced
@@ -321,34 +309,11 @@ let default_floor name =
   else if name = "classify T_6 (limit 7)" then 2.0
   else 0.83
 
-let recorded_floors path =
-  if not (Sys.file_exists path) then []
-  else
-    let module J = Rcons.Runtime.Json in
-    match J.parse (In_channel.with_open_text path In_channel.input_all) with
-    | Error _ -> []
-    | Ok j -> (
-        try
-          J.to_list (J.field "workloads" j)
-          |> List.filter_map (fun w ->
-                 match J.member "floor" w with
-                 | Some f -> Some (J.to_str (J.field "name" w), J.to_float f)
-                 | None -> None)
-        with _ -> [])
-
-let recorded_reduction_floor path =
-  if not (Sys.file_exists path) then None
-  else
-    let module J = Rcons.Runtime.Json in
-    match J.parse (In_channel.with_open_text path In_channel.input_all) with
-    | Error _ -> None
-    | Ok j -> (
-        try Option.map J.to_float (J.member "floor" (J.field "reduction" j)) with _ -> None)
-
 type row = {
   r_name : string;
   r_seq : float;
   r_par : float;
+  r_speedup : float;
   r_identical : bool;
   r_curve : (int * float) list;
   r_dedup : dedup_stats option;
@@ -358,18 +323,97 @@ type row = {
 
 (* Raw [nodes] from a rendered stats string, for the dedup reduction
    ratio (avoids re-running the raw exploration a third time). *)
-let nodes_of_rendering s =
-  match String.index_opt s ';' with
-  | None -> 0
-  | Some _ -> (
-      try Scanf.sscanf s "{schedules=%d; nodes=%d" (fun _ n -> n) with _ -> 0)
+let nodes_of_rendering s = try Scanf.sscanf s "{schedules=%d; nodes=%d" (fun _ n -> n) with _ -> 0
 
 let schedules_of_rendering s =
   try Scanf.sscanf s "{schedules=%d" (fun n -> n) with _ -> 0
 
+(* The artifact; fixed-precision fields keep their historical rounding. *)
+let artifact ~domains ~cores cc red eng rows =
+  let open Util.Json in
+  let f4 = Util.fixed 4 and ints = Util.ints in
+  let stages (t : Rcons.Par.Pool.Telemetry.snapshot) dedup =
+    ints
+      ([ ("jobs", t.jobs); ("chunks", t.chunks); ("steals", t.steals);
+         ("seq_cutoffs", t.seq_cutoffs); ("restores", t.restores);
+         ("undo_entries", t.undo_entries); ("undo_bytes_peak", t.undo_bytes_peak);
+         ("rehashes_full", t.rehashes_full); ("rehashes_saved", t.rehashes_saved);
+         ("canon_saved_bytes", t.canon_saved_bytes) ]
+      @ Option.fold dedup ~none:[] ~some:(fun dd ->
+            (* Dedup-engine stage counts: every expanded node is hashed
+               and offered to the visited set; claims are the wins. *)
+            [ ("hashes", dd.dd_hits + dd.dd_states); ("claims", dd.dd_states);
+              ("expansions", dd.dd_nodes) ]))
+  in
+  let dedup dd =
+    let per_node x = Util.ratio (float_of_int x) (float_of_int dd.dd_nodes) in
+    Obj
+      (ints [ ("raw_nodes", dd.raw_nodes); ("dedup_nodes", dd.dd_nodes);
+              ("dedup_hits", dd.dd_hits); ("distinct_states", dd.dd_states) ]
+      @ [ ("hit_rate", f4 (per_node dd.dd_hits));
+          ("node_reduction", Util.fixed 1 (per_node dd.raw_nodes));
+          ("identical", Bool dd.dd_identical) ]
+      @ ints [ ("raw_por_nodes", dd.rp_nodes); ("raw_por_schedules", dd.rp_schedules);
+               ("por_pruned", dd.rp_pruned); ("dedup_por_nodes", dd.pd_nodes);
+               ("dedup_por_pruned", dd.pd_pruned); ("rehashes_full", dd.dd_rehashes_full);
+               ("rehashes_saved", dd.dd_rehashes_saved) ])
+  in
+  let workload r =
+    Obj
+      ([ ("name", String r.r_name); ("seq_s", f4 r.r_seq); ("par_s", f4 r.r_par);
+         ("speedup", Util.fixed 3 r.r_speedup); ("floor", Util.fixed 2 r.r_floor);
+         ("identical", Bool r.r_identical); ("stages", Obj (stages r.r_stages r.r_dedup));
+         ( "scaling",
+           List (List.map (fun (d, t) -> Obj [ ("domains", Int d); ("s", f4 t) ]) r.r_curve) ) ]
+      @ Option.fold r.r_dedup ~none:[] ~some:(fun dd -> [ ("dedup", dedup dd) ]))
+  in
+  let red_sym = red.red_por_sym in
+  Obj
+    [ ("domains", Int domains); ("cores", Int cores);
+      ( "cert_cache",
+        Obj
+          [ ("name", String cc.cc_name); ("cold_s", f4 cc.cc_cold); ("warm_s", f4 cc.cc_warm);
+            ("nocache_s", f4 cc.cc_nocache);
+            ("warm_speedup", Util.fixed 2 (Util.ratio cc.cc_cold cc.cc_warm));
+            ("entries", Int cc.cc_entries); ("identical", Bool cc.cc_identical) ] );
+      ( "reduction",
+        Obj
+          ((("name", String red.red_name)
+           :: ints [ ("dedup_nodes", red.red_dedup.nodes); ("dedup_por_nodes", red.red_por.nodes);
+                     ("dedup_por_sym_nodes", red_sym.nodes); ("por_pruned", red_sym.por_pruned);
+                     ("symmetry_hits", red_sym.symmetry_hits) ])
+          @ [ ("factor", Util.fixed 1 (reduction_factor red));
+              ("floor", Util.fixed 1 red.red_floor) ]) );
+      ( "engine",
+        Obj
+          ([ ("name", String eng.eng_name); ("restore_s", f4 eng.eng_undo);
+             ("replay_s", f4 eng.eng_replay);
+             ("speedup", Util.fixed 2 (Util.ratio eng.eng_replay eng.eng_undo));
+             ("floor", Util.fixed 1 eng.eng_floor); ("identical", Bool eng.eng_identical) ]
+          @ ints
+              [ ("restores", eng.eng_undo_t.restores);
+                ("undo_entries", eng.eng_undo_t.undo_entries);
+                ("undo_bytes_peak", eng.eng_undo_t.undo_bytes_peak) ]) );
+      ("workloads", List (List.map workload rows)) ]
+
 let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
   let cores = Rcons.Par.Pool.available_domains () in
-  let floors = recorded_floors out in
+  (* Every floor comes from one read of the committed artifact, made
+     before any work so a corrupt file fails in milliseconds.  An absent
+     file (or floor) means the defaults. *)
+  let committed = Option.value (Util.committed ~file:out) ~default:(Util.Json.Obj []) in
+  let floor ~default path j =
+    Option.fold ~none:default ~some:Util.Json.to_float (Util.number ~file:out path j)
+  in
+  let workload_floor name =
+    let module J = Util.Json in
+    let entry =
+      match J.member "workloads" committed with
+      | Some (J.List ws) -> List.find_opt (fun w -> J.member "name" w = Some (J.String name)) ws
+      | _ -> None
+    in
+    floor ~default:(default_floor name) [ "floor" ] (Option.value entry ~default:(J.Obj []))
+  in
   Util.section
     (Printf.sprintf "Parallel engine: domains scaling curve %s (machine has %d core(s))"
        (String.concat "/" (List.map string_of_int domain_points))
@@ -394,16 +438,11 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
         let dedup =
           Option.map (fun f -> f (nodes_of_rendering seq_render) domains) w.w_dedup
         in
-        let floor =
-          match List.assoc_opt w.w_name floors with
-          | Some f -> f
-          | None -> default_floor w.w_name
-        in
-        let speedup = if par_t > 0. then seq_t /. par_t else 0. in
+        let floor = workload_floor w.w_name in
+        let speedup = Util.ratio seq_t par_t in
         Util.row "%-40s %8.3fs %8.3fs %8.2fx %b@." w.w_name seq_t par_t speedup identical;
         List.iter
-          (fun (d, (t, _, _)) ->
-            Util.row "    domains=%d %8.3fs %8.2fx@." d t (if t > 0. then seq_t /. t else 0.))
+          (fun (d, (t, _, _)) -> Util.row "    domains=%d %8.3fs %8.2fx@." d t (Util.ratio seq_t t))
           curve;
         Util.row "    stages(par %d): %d jobs, %d chunks, %d steals, %d seq-cutoffs; floor %.2fx@."
           domains stages.Rcons.Par.Pool.Telemetry.jobs stages.chunks stages.steals
@@ -417,8 +456,7 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
         | Some dd ->
             Util.row "    dedup: %d -> %d nodes (%.1fx), %d hits, %d distinct states, par identical=%b@."
               dd.raw_nodes dd.dd_nodes
-              (if dd.dd_nodes > 0 then float_of_int dd.raw_nodes /. float_of_int dd.dd_nodes
-               else 0.)
+              (Util.ratio (float_of_int dd.raw_nodes) (float_of_int dd.dd_nodes))
               dd.dd_hits dd.dd_states dd.dd_identical;
             Util.row "    incremental hashing (seq dedup): %d slots re-digested, %d served from cache@."
               dd.dd_rehashes_full dd.dd_rehashes_saved;
@@ -431,6 +469,7 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
           r_name = w.w_name;
           r_seq = seq_t;
           r_par = par_t;
+          r_speedup = speedup;
           r_identical = identical && Option.fold ~none:true ~some:(fun d -> d.dd_identical) dedup;
           r_curve = List.map (fun (d, (t, _, _)) -> (d, t)) curve;
           r_dedup = dedup;
@@ -440,15 +479,11 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
       workloads
   in
   let cc = cert_cache_bench () in
-  let cc_speedup = if cc.cc_warm > 0. then cc.cc_cold /. cc.cc_warm else 0. in
   Util.row "@.certificate cache: %s@." cc.cc_name;
   Util.row "    cold %8.4fs   warm %8.4fs   no-cache %8.4fs   warm speedup %8.2fx   %d entries, identical=%b@."
-    cc.cc_cold cc.cc_warm cc.cc_nocache cc_speedup cc.cc_entries cc.cc_identical;
-  let red =
-    reduction_ablation
-      ~floor:(Option.value (recorded_reduction_floor out) ~default:10.0)
-      ()
-  in
+    cc.cc_cold cc.cc_warm cc.cc_nocache (Util.ratio cc.cc_cold cc.cc_warm) cc.cc_entries
+    cc.cc_identical;
+  let red = reduction_ablation ~floor:(floor ~default:10.0 [ "reduction"; "floor" ] committed) () in
   let red_factor = reduction_factor red in
   Util.row "@.reduction ablation: %s@." red.red_name;
   Util.row
@@ -457,84 +492,15 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
     red.red_por_sym.Rcons.Runtime.Explore.nodes red_factor red.red_floor
     red.red_por_sym.Rcons.Runtime.Explore.por_pruned
     red.red_por_sym.Rcons.Runtime.Explore.symmetry_hits;
-  let eng = engine_bench ~floor:(Option.value (recorded_engine_floor out) ~default:2.0) () in
-  let eng_ratio = engine_speedup eng in
+  let eng = engine_bench ~floor:(floor ~default:2.0 [ "engine"; "floor" ] committed) () in
+  let eng_ratio = Util.ratio eng.eng_replay eng.eng_undo in
   Util.row "@.exploration engine: %s@." eng.eng_name;
   Util.row "    restore %8.3fs   replay %8.3fs   speedup %8.2fx (floor %.1fx), identical=%b@."
     eng.eng_undo eng.eng_replay eng_ratio eng.eng_floor eng.eng_identical;
   Util.row "    journal: %d restores, %d entries, %d bytes peak@."
     eng.eng_undo_t.Rcons.Par.Pool.Telemetry.restores eng.eng_undo_t.undo_entries
     eng.eng_undo_t.undo_bytes_peak;
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"domains\": %d,\n" domains;
-  p "  \"cores\": %d,\n" (Rcons.Par.Pool.available_domains ());
-  p
-    "  \"cert_cache\": {\"name\": %S, \"cold_s\": %.4f, \"warm_s\": %.4f, \"nocache_s\": %.4f, \
-     \"warm_speedup\": %.2f, \"entries\": %d, \"identical\": %b},\n"
-    cc.cc_name cc.cc_cold cc.cc_warm cc.cc_nocache cc_speedup cc.cc_entries cc.cc_identical;
-  p
-    "  \"reduction\": {\"name\": %S, \"dedup_nodes\": %d, \"dedup_por_nodes\": %d, \
-     \"dedup_por_sym_nodes\": %d, \"por_pruned\": %d, \"symmetry_hits\": %d, \
-     \"factor\": %.1f, \"floor\": %.1f},\n"
-    red.red_name red.red_dedup.Rcons.Runtime.Explore.nodes
-    red.red_por.Rcons.Runtime.Explore.nodes red.red_por_sym.Rcons.Runtime.Explore.nodes
-    red.red_por_sym.Rcons.Runtime.Explore.por_pruned
-    red.red_por_sym.Rcons.Runtime.Explore.symmetry_hits red_factor red.red_floor;
-  p
-    "  \"engine\": {\"name\": %S, \"restore_s\": %.4f, \"replay_s\": %.4f, \"speedup\": %.2f, \
-     \"floor\": %.1f, \"identical\": %b, \"restores\": %d, \"undo_entries\": %d, \
-     \"undo_bytes_peak\": %d},\n"
-    eng.eng_name eng.eng_undo eng.eng_replay eng_ratio eng.eng_floor eng.eng_identical
-    eng.eng_undo_t.Rcons.Par.Pool.Telemetry.restores eng.eng_undo_t.undo_entries
-    eng.eng_undo_t.undo_bytes_peak;
-  p "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      let speedup = if r.r_par > 0. then r.r_seq /. r.r_par else 0. in
-      p
-        "    {\"name\": %S, \"seq_s\": %.4f, \"par_s\": %.4f, \"speedup\": %.3f, \"floor\": %.2f, \
-         \"identical\": %b,\n"
-        r.r_name r.r_seq r.r_par speedup r.r_floor r.r_identical;
-      p
-        "     \"stages\": {\"jobs\": %d, \"chunks\": %d, \"steals\": %d, \"seq_cutoffs\": %d, \
-         \"restores\": %d, \"undo_entries\": %d, \"undo_bytes_peak\": %d, \"rehashes_full\": %d, \
-         \"rehashes_saved\": %d, \"canon_saved_bytes\": %d%s},\n"
-        r.r_stages.Rcons.Par.Pool.Telemetry.jobs r.r_stages.chunks r.r_stages.steals
-        r.r_stages.seq_cutoffs r.r_stages.restores r.r_stages.undo_entries
-        r.r_stages.undo_bytes_peak r.r_stages.rehashes_full r.r_stages.rehashes_saved
-        r.r_stages.canon_saved_bytes
-        (match r.r_dedup with
-        | None -> ""
-        | Some dd ->
-            (* Dedup-engine stage counts: every expanded node is hashed
-               and offered to the visited set; claims are the wins. *)
-            Printf.sprintf ", \"hashes\": %d, \"claims\": %d, \"expansions\": %d"
-              (dd.dd_hits + dd.dd_states) dd.dd_states dd.dd_nodes);
-      p "     \"scaling\": [%s]%s\n"
-        (String.concat ", "
-           (List.map (fun (d, t) -> Printf.sprintf "{\"domains\": %d, \"s\": %.4f}" d t) r.r_curve))
-        (match r.r_dedup with None -> "" | Some _ -> ",");
-      (match r.r_dedup with
-      | None -> ()
-      | Some dd ->
-          p
-            "     \"dedup\": {\"raw_nodes\": %d, \"dedup_nodes\": %d, \"dedup_hits\": %d, \
-             \"distinct_states\": %d, \"hit_rate\": %.4f, \"node_reduction\": %.1f, \
-             \"identical\": %b,\n      \"raw_por_nodes\": %d, \"raw_por_schedules\": %d, \
-             \"por_pruned\": %d, \"dedup_por_nodes\": %d, \"dedup_por_pruned\": %d, \
-             \"rehashes_full\": %d, \"rehashes_saved\": %d}\n"
-            dd.raw_nodes dd.dd_nodes dd.dd_hits dd.dd_states
-            (if dd.dd_nodes > 0 then float_of_int dd.dd_hits /. float_of_int dd.dd_nodes else 0.)
-            (if dd.dd_nodes > 0 then float_of_int dd.raw_nodes /. float_of_int dd.dd_nodes
-             else 0.)
-            dd.dd_identical dd.rp_nodes dd.rp_schedules dd.rp_pruned dd.pd_nodes dd.pd_pruned
-            dd.dd_rehashes_full dd.dd_rehashes_saved);
-      p "    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n}\n";
-  close_out oc;
+  Util.write_json ~out (artifact ~domains ~cores cc red eng rows);
   Util.row "@.wrote %s@." out;
   if not cc.cc_identical then begin
     Util.row "CACHE VIOLATION: cold / warm / no-cache classifications differ@.";
@@ -548,7 +514,8 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
   end;
   (* The reduction factor is a deterministic node-count ratio, so its
      floor holds on any machine (RCONS_BENCH_NO_FLOOR still escapes). *)
-  if Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" = None && red_factor < red.red_floor then begin
+  let no_floor = Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" <> None in
+  if (not no_floor) && red_factor < red.red_floor then begin
     Util.row "REDUCTION FLOOR VIOLATION: %s at %.1fx, floor %.1fx@." red.red_name red_factor
       red.red_floor;
     exit 1
@@ -560,7 +527,7 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
     Util.row "ENGINE VIOLATION: restore and replay engines rendered different statistics@.";
     exit 1
   end;
-  if Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" = None && eng_ratio < eng.eng_floor then begin
+  if (not no_floor) && eng_ratio < eng.eng_floor then begin
     Util.row "ENGINE FLOOR VIOLATION: %s at %.2fx, floor %.1fx@." eng.eng_name eng_ratio
       eng.eng_floor;
     exit 1
@@ -568,15 +535,12 @@ let run ?(domains = 4) ?(out = "BENCH_parallel.json") () =
   (* Speedup floors are only meaningful with real cores behind the
      domains; a 1-core laptop regenerating the artifact must not fail on
      ratios that measure nothing. *)
-  let enforce = cores >= domains && Sys.getenv_opt "RCONS_BENCH_NO_FLOOR" = None in
-  let below =
-    List.filter (fun r -> (if r.r_par > 0. then r.r_seq /. r.r_par else 0.) < r.r_floor) rows
-  in
+  let enforce = cores >= domains && not no_floor in
+  let below = List.filter (fun r -> r.r_speedup < r.r_floor) rows in
   if enforce && below <> [] then begin
     List.iter
       (fun r ->
-        Util.row "SPEEDUP FLOOR VIOLATION: %s at %.2fx, floor %.2fx@." r.r_name
-          (if r.r_par > 0. then r.r_seq /. r.r_par else 0.)
+        Util.row "SPEEDUP FLOOR VIOLATION: %s at %.2fx, floor %.2fx@." r.r_name r.r_speedup
           r.r_floor)
       below;
     exit 1

@@ -81,6 +81,99 @@ let no_undo_arg =
            the journaled system back.  Slower, kept as the correctness oracle: statistics, \
            violations and checkpoints are byte-identical either way.")
 
+(* The exhaustive-explorer flags shared by [explore] and [log
+   --exhaustive]; only the [--max-crashes] default differs. *)
+type exhaustive_opts = {
+  max_crashes : int;
+  dedup : bool;
+  por : bool;
+  symmetry : bool;
+  node_budget : int option;
+  time_budget : float option;
+  checkpoint : string option;
+  resume : string option;
+  save_cex : string option;
+}
+
+let exhaustive_opts ~max_crashes =
+  let max_crashes =
+    Arg.(
+      value & opt int max_crashes
+      & info [ "max-crashes" ] ~doc:"Crash budget for the exhaustive explorer.")
+  in
+  let dedup =
+    Arg.(
+      value & flag
+      & info [ "dedup" ]
+          ~doc:
+            "Deduplicate states by canonical fingerprint: much faster on multi-crash budgets, \
+             but node/schedule counts then refer to the state graph, not the raw schedule tree.")
+  in
+  let por =
+    Arg.(
+      value & flag
+      & info [ "por" ]
+          ~doc:
+            "Sleep-set partial-order reduction over step footprints: interleavings differing \
+             only by swaps of independent steps are explored once.  Finds a violation iff the \
+             raw run does.  With --dedup it is sequential-only and not resumable.")
+  in
+  let symmetry =
+    Arg.(
+      value & flag
+      & info [ "symmetry" ]
+          ~doc:
+            "Process-symmetry reduction (requires --dedup): canonicalize fingerprints over \
+             relabelings of interchangeable processes (equal-operation team slots of the \
+             certificate; sound because every member of a team proposes the same value).")
+  in
+  let node_budget =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "node-budget" ] ~docv:"N"
+          ~doc:
+            "Interrupt after exploring $(docv) nodes, saving a resumable checkpoint (see \
+             --checkpoint / --resume).  Lifts the explorer's fixed node cap, so long runs go \
+             in checkpointed chunks.  Sequential mode only.")
+  in
+  let time_budget =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "time-budget" ] ~docv:"SECONDS"
+          ~doc:"Interrupt after $(docv) of wall-clock time (like --node-budget).")
+  in
+  let checkpoint =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ]
+          ~doc:"Where to write the checkpoint on interrupt (default explore.ckpt.json).")
+  in
+  let resume =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "resume" ]
+          ~doc:
+            "Resume from a checkpoint file; the run continues to final stats bit-identical to \
+             an uninterrupted one.  Pass the same workload flags, --max-crashes and --dedup.")
+  in
+  let save_cex =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "save-counterexample" ]
+          ~doc:"On violation, shrink the schedule (ddmin) and write a replayable JSON witness.")
+  in
+  let make max_crashes dedup por symmetry node_budget time_budget checkpoint resume save_cex =
+    { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex }
+  in
+  Term.(
+    const make $ max_crashes $ dedup $ por $ symmetry $ node_budget $ time_budget $ checkpoint
+    $ resume $ save_cex)
+
 (* Shared certificate-cache flags: where the persisted per-level scan
    results live, and an off switch.  Entries are revalidated against the
    live module before being trusted, so a cache can never change an
@@ -231,13 +324,22 @@ let resume_command (w : Cex.workload) ~max_crashes ~dedup ~file =
       " --resume " ^ file;
     ]
 
+(* The explorer's fixed node cap for a run without a budget. *)
+let node_cap = 20_000_000
+
 (* Exhaustively explore a counterexample workload (team consensus or
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
    Exit codes: 0 done (violation or not), 1 workload does not build, 2
    bad input (corrupt checkpoint, checkpoint of another workload,
-   invalid combination), 3 interrupted with a checkpoint saved. *)
-let run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
-    ~checkpoint ~resume ~save_cex ~no_undo =
+   invalid combination), 3 stopped before the end: a budget tripped and
+   a checkpoint was saved, or an unbudgeted run hit [node_cap] and
+   saved none. *)
+let run_exhaustive w
+    { max_crashes; dedup; por; symmetry; node_budget; time_budget; checkpoint; resume; save_cex }
+    ~domains ~no_undo =
+  (* A budget bounds the run itself (and its trip checkpoints), so it
+     lifts the fixed cap rather than being cut short by it. *)
+  let max_nodes = if node_budget = None && time_budget = None then node_cap else max_int in
   if max_crashes < 0 then begin
     Format.eprintf "--max-crashes must be >= 0 (got %d)@." max_crashes;
     2
@@ -271,7 +373,7 @@ let run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~t
                  in provenance; each replayed system still gets its own
                  fresh cache (from the workload builder). *)
               with_persist w.Cex.persist w.Cex.flush_cost @@ fun () ->
-              E.explore ~max_crashes ~domains ~dedup ~por ?symmetry:classes ?node_budget
+              E.explore ~max_crashes ~max_nodes ~domains ~dedup ~por ?symmetry:classes ?node_budget
                 ?time_budget ?resume_from ~fingerprint:(Cex.fingerprint w) ~undo:(not no_undo) ~mk
                 ()
             with
@@ -318,9 +420,10 @@ let run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~t
                 0
             | exception E.Budget_exceeded stats ->
                 Format.eprintf
-                  "node budget exceeded after %d nodes (%d schedules): partial exploration, no \
-                   violation found within the budget; raise --node-budget or add --dedup/--por@."
-                  stats.E.nodes stats.E.schedules;
+                  "stopped at the explorer's %d-node cap after %d nodes (%d schedules), no \
+                   violation found so far: pass --node-budget N to explore in checkpointed \
+                   chunks, or add --dedup/--por@."
+                  node_cap stats.E.nodes stats.E.schedules;
                 3
             | exception Invalid_argument msg ->
                 Format.eprintf "%s@." msg;
@@ -361,8 +464,7 @@ let explore_cmd =
             Format.eprintf "%s@." msg;
             2)
   in
-  let run name max_crashes domains dedup por symmetry broken level node_budget time_budget
-      checkpoint resume save_cex replay_file persist annotated flush_cost no_undo =
+  let run name o domains broken level replay_file persist annotated flush_cost no_undo =
     match (replay_file, name) with
     | Some file, _ -> replay_artifact file
     | None, None ->
@@ -375,43 +477,13 @@ let explore_cmd =
         2
     | None, Some name ->
         let w = Cex.team2 ~faithful:(not broken) ~level ~persist ~annotated ~flush_cost name in
-        run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
-          ~checkpoint ~resume ~save_cex ~no_undo
+        run_exhaustive w o ~domains ~no_undo
   in
   let type_name =
     Arg.(
       value
       & opt (some string) None
       & info [ "type" ] ~doc:"Object type (catalogue name, alias, or S<n>/T<n>).")
-  in
-  let max_crashes =
-    Arg.(value & opt int 1 & info [ "max-crashes" ] ~doc:"Crash budget for the explorer.")
-  in
-  let dedup =
-    Arg.(
-      value & flag
-      & info [ "dedup" ]
-          ~doc:
-            "Deduplicate states by canonical fingerprint: much faster on multi-crash budgets, \
-             but node/schedule counts then refer to the state graph, not the raw schedule tree.")
-  in
-  let por =
-    Arg.(
-      value & flag
-      & info [ "por" ]
-          ~doc:
-            "Sleep-set partial-order reduction over step footprints: interleavings differing \
-             only by swaps of independent steps are explored once.  Finds a violation iff the \
-             raw run does.  With --dedup it is sequential-only and not resumable.")
-  in
-  let symmetry =
-    Arg.(
-      value & flag
-      & info [ "symmetry" ]
-          ~doc:
-            "Process-symmetry reduction (requires --dedup): canonicalize fingerprints over \
-             relabelings of interchangeable processes (equal-operation team slots of the \
-             certificate, which share one input in this workload).")
   in
   let broken =
     Arg.(
@@ -428,44 +500,6 @@ let explore_cmd =
           ~doc:
             "Recording level of the certificate instantiating Figure 2 (team sizes come from \
              the certificate; level n means n processes).")
-  in
-  let node_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "node-budget" ]
-          ~doc:
-            "Interrupt after exploring $(docv) nodes, saving a resumable checkpoint (see \
-             --checkpoint / --resume).  Sequential mode only.")
-  in
-  let time_budget =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-budget" ] ~doc:"Interrupt after $(docv) wall-clock seconds (like --node-budget).")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ]
-          ~doc:"Where to write the checkpoint on interrupt (default explore.ckpt.json).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ]
-          ~doc:
-            "Resume from a checkpoint file; the run continues to final stats bit-identical to \
-             an uninterrupted one.  Pass the same --type/--max-crashes/--dedup.")
-  in
-  let save_cex =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-counterexample" ]
-          ~doc:"On violation, shrink the schedule (ddmin) and write a replayable JSON witness.")
   in
   let replay_file =
     Arg.(
@@ -491,9 +525,8 @@ let explore_cmd =
          "Exhaustively model-check Figure 2 on the type's 2-recording certificate; \
           budgeted/resumable, with counterexample shrinking and replay")
     Term.(
-      const run $ type_name $ max_crashes $ domains_arg $ dedup $ por $ symmetry $ broken
-      $ level $ node_budget $ time_budget $ checkpoint $ resume $ save_cex $ replay_file
-      $ persist_arg $ annotated $ flush_cost_arg $ no_undo_arg)
+      const run $ type_name $ exhaustive_opts ~max_crashes:1 $ domains_arg $ broken $ level
+      $ replay_file $ persist_arg $ annotated $ flush_cost_arg $ no_undo_arg)
 
 (* --- log --- *)
 
@@ -502,8 +535,7 @@ let log_cmd =
   let module Rlog = Rcons.Log.Rlog in
   let module Conditions = Rcons.History.Conditions in
   let run name slots procs adversary seed crash_prob adv_crashes persist annotated vote_first
-      broken no_certs certs_dir exhaustive max_crashes domains dedup por symmetry node_budget
-      time_budget checkpoint resume save_cex flush_cost no_undo =
+      broken no_certs certs_dir exhaustive o domains flush_cost no_undo =
     if slots < 1 then begin
       Format.eprintf "rcons log: --slots must be >= 1 (got %d)@." slots;
       2
@@ -525,8 +557,7 @@ let log_cmd =
           Cex.log ~faithful:(not broken) ~level:procs ~persist ~annotated ~flush_cost ~slots
             name
         in
-        run_exhaustive w ~max_crashes ~domains ~dedup ~por ~symmetry ~node_budget ~time_budget
-          ~checkpoint ~resume ~save_cex ~no_undo
+        run_exhaustive w o ~domains ~no_undo
     end
     else
       (* Randomized mode: drive the log to completion under a seeded
@@ -660,62 +691,6 @@ let log_cmd =
              (supports --max-crashes/--dedup/--por/--symmetry/--node-budget/--resume/\
              --save-counterexample, like $(b,rcons explore)).")
   in
-  let max_crashes =
-    Arg.(
-      value & opt int 2
-      & info [ "max-crashes" ] ~doc:"Crash budget for the exhaustive explorer (default 2).")
-  in
-  let dedup =
-    Arg.(
-      value & flag
-      & info [ "dedup" ] ~doc:"State-space deduplication for the exhaustive explorer.")
-  in
-  let por =
-    Arg.(
-      value & flag
-      & info [ "por" ] ~doc:"Sleep-set partial-order reduction for the exhaustive explorer.")
-  in
-  let symmetry =
-    Arg.(
-      value & flag
-      & info [ "symmetry" ]
-          ~doc:
-            "Process-symmetry reduction (requires --dedup); sound here because every member of \
-             a team proposes the same per-slot value.")
-  in
-  let node_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "node-budget" ]
-          ~doc:"Interrupt the exhaustive run after $(docv) nodes, saving a checkpoint.")
-  in
-  let time_budget =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "time-budget" ] ~doc:"Interrupt after $(docv) wall-clock seconds.")
-  in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ]
-          ~doc:"Where to write the checkpoint on interrupt (default explore.ckpt.json).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~doc:"Resume an interrupted exhaustive run from its checkpoint.")
-  in
-  let save_cex =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-counterexample" ]
-          ~doc:"On violation, shrink the schedule (ddmin) and write a replayable JSON witness.")
-  in
   Cmd.v
     (Cmd.info "log"
        ~doc:
@@ -724,8 +699,8 @@ let log_cmd =
     Term.(
       const run $ type_name $ slots $ procs $ adversary $ seed $ crash_prob $ adv_crashes
       $ persist_arg $ annotated $ vote_first $ broken $ no_certs_arg $ certs_dir_arg
-      $ exhaustive $ max_crashes $ domains_arg $ dedup $ por $ symmetry $ node_budget
-      $ time_budget $ checkpoint $ resume $ save_cex $ flush_cost_arg $ no_undo_arg)
+      $ exhaustive $ exhaustive_opts ~max_crashes:2 $ domains_arg $ flush_cost_arg
+      $ no_undo_arg)
 
 (* --- certs --- *)
 

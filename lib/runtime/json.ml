@@ -1,5 +1,6 @@
 (* Minimal JSON: just enough for the repository's artifacts (witness
-   files, checkpoints).  Deterministic printing, strict parsing. *)
+   files, checkpoints, bench output).  Deterministic printing, strict
+   parsing. *)
 
 type t =
   | Null
@@ -27,6 +28,16 @@ let escape b s =
     s;
   Buffer.add_char b '"'
 
+(* The shortest of [%.15g] / [%.17g] that reads back as [f], always
+   with a [.] or an exponent so [parse] returns a [Float], never an
+   [Int].  Non-finite values keep OCaml's spelling (not JSON). *)
+let float_repr f =
+  if not (Float.is_finite f) then Printf.sprintf "%.17g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let to_string ?(indent = 2) v =
   let b = Buffer.create 256 in
   let pad n = if indent > 0 then Buffer.add_string b (String.make (n * indent) ' ') in
@@ -35,11 +46,7 @@ let to_string ?(indent = 2) v =
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (string_of_bool x)
     | Int i -> Buffer.add_string b (string_of_int i)
-    | Float f ->
-        (* Round-trippable and JSON-legal (no "nan"/"inf"; no bare "1."). *)
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string b (Printf.sprintf "%.1f" f)
-        else Buffer.add_string b (Printf.sprintf "%.17g" f)
+    | Float f -> Buffer.add_string b (float_repr f)
     | String s -> escape b s
     | List [] -> Buffer.add_string b "[]"
     | List xs ->

@@ -2,12 +2,21 @@
 
     The repository has no external JSON dependency, and its artifacts --
     counterexample witnesses ([_counterexamples/*.json]), explorer
-    checkpoints, bench output -- need only plain JSON: objects, arrays,
-    strings, ints, floats, bools and null.  This module is that, nothing
-    more.  Printing is deterministic (object fields keep their
-    construction order), so artifacts are diffable and byte-stable across
-    runs; [parse] accepts anything {!to_string} emits plus ordinary
-    whitespace, and rejects trailing garbage. *)
+    checkpoints, certificates, the bench's [BENCH_*.json] files -- need
+    only plain JSON: objects, arrays, strings, ints, floats, bools and
+    null.  This module is that, nothing more.  Printing is deterministic
+    (object fields keep their construction order), so artifacts are
+    diffable and byte-stable across runs; [parse] accepts anything
+    {!to_string} emits plus ordinary whitespace, and rejects trailing
+    garbage.
+
+    A finite {!Float} prints in its shortest round-trip form -- [%.15g]
+    when that reads back as the same float, [%.17g] otherwise -- and
+    always carries a [.] or an exponent, so [18.891] prints as [18.891]
+    and [1e15] as [1e+15]: every float reads back as the same {!Float},
+    never as an {!Int}.  A caller that wants a fixed precision (the bench
+    artifacts' [%.3f]-style fields) rounds through that format before
+    wrapping the value. *)
 
 type t =
   | Null

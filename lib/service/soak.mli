@@ -2,15 +2,16 @@
     completion, optionally fanned out across domains.
 
     Instances are fully independent simulations (private RNGs, private
-    persistency caches, private adversaries), so the fleet partitions
-    statically: instance [i] runs on domain [i mod domains], each domain
-    runs its share sequentially, and the merged {!summary} -- including
-    the {!summary.s_commit_digest} over every instance's commit trace --
-    is identical for any [domains] count.  [test/test_service.ml] holds
+    persistency caches, private adversaries), so the fleet runs on the
+    shared work-stealing pool ({!Rcons_par.Pool.map}, one index per
+    instance; [~domains:1] runs inline).  The pool merges in index
+    order, so the merged {!summary} -- including the
+    {!summary.s_commit_digest} over every instance's commit trace -- is
+    identical for any [domains] count.  [test/test_service.ml] holds
     that equality across 1/2/4 domains.
 
     A checker {!Instance.Violation} raised by any instance aborts the
-    soak: all domains still run to completion (a domain cannot be
+    soak: every instance still runs to completion (a domain cannot be
     interrupted mid-instance), then the violation from the
     lowest-numbered failing instance is re-raised, deterministically. *)
 

@@ -125,6 +125,32 @@ let test_json_round_trip () =
     (schedule_str o.Adversary.schedule)
     (schedule_str rt)
 
+(* Every finite float prints in a form that parses back to the same
+   float (bit for bit) and as a [Float], never an [Int]. *)
+let qcheck_json_float_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"JSON float printing round-trips"
+       ~print:(Printf.sprintf "%h")
+       QCheck2.Gen.(
+         oneof
+           [
+             float;
+             map Int64.float_of_bits int64;
+             map float_of_int int;
+             oneofl [ 1e15; -1e15; 1234567890123456.; 18.891; 0.1; -0.; 5e-324; max_float ];
+           ])
+       (fun f ->
+         QCheck2.assume (Float.is_finite f);
+         match Json.parse_exn (Json.to_string (Json.Float f)) with
+         | Json.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+         | _ -> false))
+
+let test_json_float_printing () =
+  Alcotest.(check string) "shortest form" "18.891" (Json.to_string (Json.Float 18.891));
+  Alcotest.(check string) "integral float keeps its point" "3.0" (Json.to_string (Json.Float 3.));
+  Alcotest.(check bool) "1e15 reads back as a Float" true
+    (Json.parse_exn (Json.to_string (Json.Float 1e15)) = Json.Float 1e15)
+
 (* --- shrinker soundness --- *)
 
 let broken_mk () = team_mk ~faithful:false (Lazy.force sticky3_cert) ()
@@ -301,6 +327,8 @@ let suite =
       test_drivers_stream_parity;
     Alcotest.test_case "recorded schedules replay exactly" `Quick test_recorded_schedule_replays;
     Alcotest.test_case "schedule JSON round-trip" `Quick test_json_round_trip;
+    qcheck_json_float_round_trip;
+    Alcotest.test_case "JSON float printing" `Quick test_json_float_printing;
     Alcotest.test_case "shrunk witness violates and is 1-minimal" `Quick
       test_shrink_sound_and_minimal;
     qcheck_shrink_never_loses;
