@@ -13,7 +13,8 @@
    - [Sim.fingerprint] is replay-stable (qcheck): re-executing the same
      schedule against a fresh system from the same builder reproduces the
      fingerprint byte for byte -- the property that makes deduplication
-     sound across replays and domains. *)
+     sound across replays and domains -- and its bytes are pinned, so a
+     rewrite of an emitter cannot silently orphan saved checkpoints. *)
 
 open Rcons_runtime
 open Rcons_algo
@@ -143,7 +144,8 @@ let apply_encoded sim codes =
       else if not (Sim.finished sim pid) then ignore (Sim.step_proc sim pid))
     codes
 
-let fingerprint_after mk codes =
+(* [f] of the system [mk] builds under a fresh arena, after [codes]. *)
+let observe_after mk codes f =
   let saved = Heap.current () in
   Heap.activate (Heap.create ());
   Fun.protect
@@ -151,9 +153,57 @@ let fingerprint_after mk codes =
     (fun () ->
       let sim, _check = mk () in
       apply_encoded sim codes;
-      let fp = Sim.fingerprint sim in
+      let r = f sim in
       Sim.abandon sim;
-      fp)
+      r)
+
+let fingerprint_after mk codes = observe_after mk codes Sim.fingerprint
+
+(* --- fingerprint bytes are pinned --- *)
+
+(* Fingerprints are persisted: checkpoints store visited-set digests, so
+   a change to the fingerprint bytes silently invalidates every saved
+   checkpoint of a dedup run.  The hex digests below were captured from
+   the fingerprint format as shipped; any encoder change must reproduce
+   them exactly.  Each case covers one emitter: the graded and ungraded
+   process sections, the pid-bearing cache-line forms of [Cell] and
+   [Sim_obj] (a lossy system whose last step leaves a line dirty), the
+   [Growable] entries of Figure 4, and the relabeled heap slots of the
+   canonical (symmetry-quotiented) digest. *)
+let hex_fingerprint sim = Digest.to_hex (Digest.string (Sim.fingerprint sim))
+
+let pinned_codes =
+  [ 1; 2; 3; 4; 6; 7; 8; 10; 11; 12; 13; 14; 16; 17; 18; 19; 21; 22; 23; 24; 26; 27; 28; 29; 31;
+    33; 37; 41; 43; 47; 49; 51; 53; 15; 57; 58; 59; 61; 62; 63; 64; 66 ]
+
+let test_fingerprint_bytes_pinned () =
+  let s2 = Helpers.cert_of (Rcons_spec.Sn.make 2) 2 in
+  let pin ?(codes = pinned_codes) name expected mk f =
+    Alcotest.(check string) name expected (observe_after mk codes f)
+  in
+  pin "S_2 graded" "db85f0390c00e4e77c50bf39cbf5da38" (team_mk s2) hex_fingerprint;
+  pin "S_2 ungraded" "12dbc7a77b8b2971a33c5def3795aad1" (team_mk s2) (fun sim ->
+      Digest.to_hex (Sim.fingerprint_digest ~graded:false sim));
+  (* The last step is p0's operation on the [Sim_obj]: its line is
+     still dirty and owned by p0.  After the full schedule every line
+     is clean again. *)
+  Persist.scoped Persist.Lossy (fun () ->
+      pin ~codes:[ 1; 2; 3; 4; 6; 7; 8 ] "S_2 lossy, dirty owned line"
+        "a2829da973f373cf9b932d076426bfab" (team_mk s2) hex_fingerprint;
+      pin "S_2 lossy, clean lines" "469ce49a676ddaccbf3e06c4fcee1d3d" (team_mk s2) hex_fingerprint);
+  pin "Figure 4" "e98e8b5e9fe78e1f85fd5df73b8f83f7" (fig4_mk 3) hex_fingerprint;
+  Persist.scoped Persist.Lossy (fun () ->
+      pin "Figure 4 lossy" "7ba9fa049dd9f0fa8d52dae9b659817a" (fig4_mk 3) hex_fingerprint);
+  let sticky3 = Helpers.cert_of Rcons_spec.Sticky_bit.t 3 in
+  let classes = Rcons_check.Certificate.symmetry_classes sticky3 in
+  Persist.scoped Persist.Lossy (fun () ->
+      pin "sticky level 3 lossy, canonical"
+        "2 perms, min 949e8c2f42541d84a18ede80ede7e82c, beats identity true" (team_mk sticky3)
+        (fun sim ->
+          let perms = Sim.relabelings ~classes (Sim.num_procs sim) in
+          let d, beat = Sim.fingerprint_digest_canonical ~perms sim in
+          Printf.sprintf "%d perms, min %s, beats identity %b" (List.length perms)
+            (Digest.to_hex d) beat))
 
 let schedule_gen = QCheck2.Gen.(list_size (int_range 0 14) (int_bound 999))
 
@@ -185,6 +235,7 @@ let suite =
     Alcotest.test_case "dedup node reduction >= 5x (2 crashes)" `Slow test_dedup_node_reduction;
     Alcotest.test_case "dedup violation schedule: seq = par" `Quick
       test_dedup_violation_schedule_identical;
+    Alcotest.test_case "fingerprint bytes are pinned" `Quick test_fingerprint_bytes_pinned;
     qcheck_fingerprint_stable;
     qcheck_fingerprint_stable_fig4;
   ]
