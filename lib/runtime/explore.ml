@@ -565,14 +565,20 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
      Under [Restore] the journal is installed BEFORE the system is built,
      so every step value from the root on lands in the per-process vlogs
      that rollback feeds back; it is uninstalled -- flushing its
-     telemetry -- when the walk ends.  Exceptions unwind WITHOUT
-     backtracking: the system is dead to this walk either way, and is
-     abandoned however the walk exits. *)
+     telemetry -- when the walk ends.  The domain's fingerprint
+     counters flush there too ([Heap.flush_telemetry]), under either
+     strategy.  Exceptions unwind WITHOUT backtracking: the system is
+     dead to this walk either way, and is abandoned however the walk
+     exits. *)
   let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
       ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
     let journal = strategy = Restore in
     if journal then Undo.install ();
-    Fun.protect ~finally:(fun () -> if journal then Undo.uninstall ()) @@ fun () ->
+    Fun.protect
+      ~finally:(fun () ->
+        if journal then Undo.uninstall ();
+        Heap.flush_telemetry ())
+    @@ fun () ->
     let t, check = replay prefix0 in
     let live = { sys = t; check } in
     Fun.protect ~finally:(fun () -> Sim.abandon live.sys) @@ fun () ->

@@ -22,38 +22,42 @@ let make default =
   let t = { default; table = Hashtbl.create 16; gslot = None } in
   t.gslot <-
     Heap.register_sym_c (fun perm ->
-      Hashtbl.fold
-        (fun i c acc ->
-          let d = Heap.digest (Cell.peek c) in
-          let entry =
-            match Cell.line c with
-            | None ->
-                (* Write-through entry: the seed format, byte-identical. *)
-                if String.equal d (Heap.digest (t.default i)) then None
-                else Some (Printf.sprintf "%d=%d:%s" i (String.length d) d)
-            | Some l ->
-                (* Cache-backed entry: the durable copy and the line
-                   owner are part of the state; elide only entries that
-                   are clean and default in both copies.  The owner is a
-                   pid, relabeled under a symmetry snapshot. *)
-                let dp = Heap.digest (Cell.peek_persisted c) in
-                let ddef = Heap.digest (t.default i) in
-                if Persist.owner l = None && String.equal d ddef && String.equal dp ddef
-                then None
-                else
-                  Some
-                    (Printf.sprintf "%d=%d:%s~%d:%s~%s" i (String.length d) d
-                       (String.length dp) dp
-                       (match (Persist.owner l, perm) with
-                       | None, _ -> "c"
-                       | Some p, None -> "p" ^ string_of_int p
-                       | Some p, Some perm -> "p" ^ string_of_int perm.(p)))
-          in
-          match entry with None -> acc | Some e -> (i, e) :: acc)
-        t.table []
-      |> List.sort compare
-      |> List.map snd
-      |> String.concat ";");
+      let b = Buffer.create 128 in
+      (* Entries in index order, ';'-separated; every entry starts with
+         its index, so the buffer is empty until the first one. *)
+      let add_entry i =
+        if Buffer.length b > 0 then Buffer.add_char b ';';
+        Heap.add_int b i;
+        Buffer.add_char b '='
+      in
+      Hashtbl.fold (fun i c acc -> (i, c) :: acc) t.table []
+      |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+      |> List.iter (fun (i, c) ->
+             let d = Heap.digest (Cell.peek c) in
+             match Cell.line c with
+             | None ->
+                 (* Write-through entry: the seed format, byte-identical. *)
+                 if not (String.equal d (Heap.digest (t.default i))) then begin
+                   add_entry i;
+                   Heap.add_len_prefixed b d
+                 end
+             | Some l ->
+                 (* Cache-backed entry: the durable copy and the line
+                    owner are part of the state; elide only entries that
+                    are clean and default in both copies.  The owner is a
+                    pid, relabeled under a symmetry snapshot. *)
+                 let dp = Heap.digest (Cell.peek_persisted c) in
+                 let ddef = Heap.digest (t.default i) in
+                 if not (Persist.owner l = None && String.equal d ddef && String.equal dp ddef)
+                 then begin
+                   add_entry i;
+                   Heap.add_len_prefixed b d;
+                   Buffer.add_char b '~';
+                   Heap.add_len_prefixed b dp;
+                   Buffer.add_char b '~';
+                   Heap.add_owner b perm (Persist.owner l)
+                 end);
+      Buffer.contents b);
   t
 
 (* Lazy materialization is idempotent across an undo rollback and the

@@ -26,7 +26,13 @@
    plain [register]/[register_sym] (used by external instrumentation,
    e.g. bench harnesses digesting a History) keep their
    always-recompute semantics — no touch discipline is demanded of
-   arbitrary thunks. *)
+   arbitrary thunks.
+
+   Encoding: every integer and length prefix in a fingerprint goes
+   through [add_int], which writes the bytes of [Int.to_string] straight
+   into the caller's buffer.  The per-domain rehash counters flush to
+   {!Rcons_par.Pool.Telemetry} once per walk ([flush_telemetry]), so a
+   snapshot touches no shared atomics. *)
 
 (* Digest thunks take an optional process relabeling [perm]
    ([perm.(old_pid) = new_pid], None = identity): the explorer's
@@ -86,7 +92,68 @@ let touch = function None -> () | Some s -> s.dirty <- true
    are stable within one binary, which is all one exploration spans). *)
 let digest v = Marshal.to_string v [ Marshal.No_sharing; Marshal.Closures ]
 
-(* Length-prefix each digest so object boundaries are unambiguous.  The
+(* Decimal integers, byte-identical to [Int.to_string] (fingerprints are
+   persisted in checkpoints, so the bytes are fixed) but with no format
+   parsing and no intermediate string.  Digits are produced from the
+   non-positive [m = -|n|], which unlike [|n|] exists for [min_int];
+   OCaml division truncates toward zero, so [m / p] and [m mod p] stay
+   non-positive. *)
+let rec top_power m p = if m / p <= -10 then top_power m (p * 10) else p
+
+let rec add_digits b m p =
+  Buffer.add_char b (Char.unsafe_chr (48 - (m / p)));
+  if p > 1 then add_digits b (m mod p) (p / 10)
+
+let add_int b n =
+  if n >= 0 && n < 10 then Buffer.add_char b (Char.unsafe_chr (48 + n))
+  else begin
+    if n < 0 then Buffer.add_char b '-';
+    let m = if n < 0 then n else -n in
+    add_digits b m (top_power m 1)
+  end
+
+(* "<length>:<bytes>": the framing of every digest in a fingerprint, so
+   object boundaries are unambiguous. *)
+let add_len_prefixed b d =
+  add_int b (String.length d);
+  Buffer.add_char b ':';
+  Buffer.add_string b d
+
+(* A cache line's owner in a pid-bearing digest: "c" when clean, else
+   "p" and the owner relabeled by [perm]. *)
+let add_owner b perm = function
+  | None -> Buffer.add_char b 'c'
+  | Some p ->
+      Buffer.add_char b 'p';
+      add_int b (match perm with None -> p | Some perm -> perm.(p))
+
+(* Fingerprint counters of the current domain, flushed to the shared
+   telemetry by [flush_telemetry] (the explorer calls it once per walk),
+   so the per-snapshot path touches no atomics. *)
+type counters = {
+  mutable full : int; (* slot digests recomputed *)
+  mutable saved : int; (* slot digests served from cache *)
+  mutable canon_saved_bytes : int; (* see [note_canon_saved_bytes] *)
+}
+
+let counters : counters Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { full = 0; saved = 0; canon_saved_bytes = 0 })
+
+let note_canon_saved_bytes n =
+  let c = Domain.DLS.get counters in
+  c.canon_saved_bytes <- c.canon_saved_bytes + n
+
+let flush_telemetry () =
+  let c = Domain.DLS.get counters in
+  if c.full <> 0 || c.saved <> 0 then
+    Rcons_par.Pool.Telemetry.note_rehashes ~full:c.full ~saved:c.saved;
+  if c.canon_saved_bytes <> 0 then
+    Rcons_par.Pool.Telemetry.note_canon_saved_bytes c.canon_saved_bytes;
+  c.full <- 0;
+  c.saved <- 0;
+  c.canon_saved_bytes <- 0
+
+(* The slot digests in registration order, each length-prefixed.  The
    [_into] form appends to a caller-owned buffer so the explorer's batch
    fingerprinting can reuse one scratch buffer across a whole chunk of
    states instead of allocating a fresh buffer (and an intermediate
@@ -97,38 +164,31 @@ let digest v = Marshal.to_string v [ Marshal.No_sharing; Marshal.Closures ]
    always recomputed (their bytes depend on the perm), while pid-free
    cacheable slots still serve the cache (their bytes cannot).  A
    refresh always digests under [None], which for a pid-free thunk is
-   the same value.  Rehash counters batch into one telemetry note per
-   snapshot. *)
+   the same value.  Rehash counts accumulate in the domain's
+   [counters], one flush per walk. *)
+let recompute c perm s =
+  c.full <- c.full + 1;
+  s.thunk perm
+
+let refresh c s =
+  if s.dirty then begin
+    s.cached <- s.thunk None;
+    s.dirty <- false;
+    c.full <- c.full + 1
+  end
+  else c.saved <- c.saved + 1;
+  s.cached
+
 let snapshot_into ?perm b a =
-  let full = ref 0 and saved = ref 0 in
-  let refresh s =
-    if s.dirty then begin
-      s.cached <- s.thunk None;
-      s.dirty <- false;
-      incr full
-    end
-    else incr saved;
-    s.cached
-  in
+  let c = Domain.DLS.get counters in
   List.iter
     (fun s ->
       let d =
-        if not s.cacheable then begin
-          incr full;
-          s.thunk perm
-        end
-        else
-          match perm with
-          | Some _ when s.sym ->
-              incr full;
-              s.thunk perm
-          | _ -> refresh s
+        if not s.cacheable then recompute c perm s
+        else match perm with Some _ when s.sym -> recompute c perm s | _ -> refresh c s
       in
-      Buffer.add_string b (string_of_int (String.length d));
-      Buffer.add_char b ':';
-      Buffer.add_string b d)
-    a.slots;
-  Rcons_par.Pool.Telemetry.note_rehashes ~full:!full ~saved:!saved
+      add_len_prefixed b d)
+    a.slots
 
 let snapshot ?perm a =
   let b = Buffer.create 256 in

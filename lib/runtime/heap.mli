@@ -82,6 +82,32 @@ val digest : 'a -> string
     capturing closures are digested by code pointer, which is stable
     within one binary. *)
 
+val add_int : Buffer.t -> int -> unit
+(** [add_int b n] appends the decimal form of [n] — exactly the bytes of
+    [Buffer.add_string b (Int.to_string n)], for every [int] — without
+    allocating.  The one integer encoder of state fingerprints. *)
+
+val add_len_prefixed : Buffer.t -> string -> unit
+(** [add_len_prefixed b d] appends ["<length of d>:<d>"], the framing of
+    every digest in a fingerprint. *)
+
+val add_owner : Buffer.t -> int array option -> int option -> unit
+(** [add_owner b perm owner] appends a cache line's owner as it appears
+    in pid-bearing digests: ["c"] for a clean line, else ["p"] and the
+    owner's pid relabeled by [perm]. *)
+
+val note_canon_saved_bytes : int -> unit
+(** Count serialization bytes the canonical-digest loop reused, in the
+    current domain's counters (see {!flush_telemetry}). *)
+
+val flush_telemetry : unit -> unit
+(** Add the current domain's fingerprint counters (slot digests
+    recomputed and served from cache, canonical bytes saved) to
+    {!Rcons_par.Pool.Telemetry} and reset them.  Snapshots only count
+    locally, so they touch no shared atomics; the explorer flushes once
+    per walk, and counts taken outside a walk reach the telemetry at the
+    next flush on the same domain. *)
+
 val snapshot : ?perm:int array -> t -> string
 (** The concatenated (length-prefixed) digests of every registered
     object, in registration order: the non-volatile half of a state

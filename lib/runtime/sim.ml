@@ -473,9 +473,9 @@ let arena_of t =
 let add_proc_section ~graded b p =
   Buffer.add_char b '|';
   if graded then begin
-    Buffer.add_string b (string_of_int p.step_count);
+    Heap.add_int b p.step_count;
     Buffer.add_char b ',';
-    Buffer.add_string b (string_of_int p.crash_count)
+    Heap.add_int b p.crash_count
   end;
   (* [proc_finished], not [p.resume]: a stale proc's [resume] belongs to
      the abandoned branch, but [fin]/[started]/[pending_label]/[trace]
@@ -492,16 +492,13 @@ let add_proc_section ~graded b p =
       List.iter
         (fun d ->
           Buffer.add_char b '.';
-          Buffer.add_string b (string_of_int (String.length d));
-          Buffer.add_char b ':';
-          Buffer.add_string b d)
+          Heap.add_len_prefixed b d)
         p.trace
   end
 
 let add_ungraded_prefix b t =
   Buffer.add_char b 'U';
-  Buffer.add_string b
-    (string_of_int (Array.fold_left (fun acc p -> acc + p.crash_count) 0 t.procs))
+  Heap.add_int b (Array.fold_left (fun acc p -> acc + p.crash_count) 0 t.procs)
 
 let fingerprint_into ?(graded = true) ?perm b t =
   let arena = arena_of t in
@@ -578,8 +575,11 @@ let relabelings ~classes n =
    survives (as the visited-set key and checkpoint entry).  A domain-local
    buffer is reused across all the states a domain expands, eliminating
    the per-node Buffer + intermediate string of [Digest.string
-   (fingerprint t)].  Same digest as that expression, byte for byte, so
-   checkpoint files and visited-set contents are unchanged. *)
+   (fingerprint t)], and every integer is written into it by
+   [Heap.add_int], with no intermediate string either.  Same digest as
+   that expression, byte for byte, so checkpoint files and visited-set
+   contents are unchanged (pinned in test/test_dedup.ml).  What remains
+   per state is the serialization itself and MD5 over ~350 bytes. *)
 let scratch : Buffer.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Buffer.create 1024)
 
 let fingerprint_digest ?graded ?perm t =
@@ -651,7 +651,6 @@ let fingerprint_digest_canonical ?(graded = true) ~perms t =
           let section_bytes =
             Array.fold_left (fun acc s -> acc + String.length s) (String.length prefix) sections
           in
-          Rcons_par.Pool.Telemetry.note_canon_saved_bytes
-            (List.length rest * section_bytes));
+          Heap.note_canon_saved_bytes (List.length rest * section_bytes));
       (min_d, String.compare min_d d0 < 0)
 

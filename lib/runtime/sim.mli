@@ -168,8 +168,9 @@ val fingerprint : t -> string
 
 val fingerprint_digest : ?graded:bool -> ?perm:int array -> t -> string
 (** [Digest.string (fingerprint t)], computed into a domain-local
-    scratch buffer reused across calls — the batched form the parallel
-    explorer hashes every expanded state with.  With the defaults
+    scratch buffer reused across calls, with integers written by
+    {!Heap.add_int} — the batched form the parallel explorer hashes
+    every expanded state with.  With the defaults
     ([graded = true], no [perm]) it is byte-identical to the unbatched
     expression, so visited-set keys and checkpoint entries are
     unchanged.

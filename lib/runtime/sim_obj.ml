@@ -75,12 +75,11 @@ let register t digest =
          process permutation (symmetry canonicalization). *)
       t.hslot <-
         Heap.register_sym_c (fun perm ->
-            let d = digest t.state and dp = digest t.persisted in
-            Printf.sprintf "%d:%s%d:%s%s" (String.length d) d (String.length dp) dp
-              (match (Persist.owner l, perm) with
-              | None, _ -> "c"
-              | Some p, None -> "p" ^ string_of_int p
-              | Some p, Some perm -> "p" ^ string_of_int perm.(p)))
+            let b = Buffer.create 64 in
+            Heap.add_len_prefixed b (digest t.state);
+            Heap.add_len_prefixed b (digest t.persisted);
+            Heap.add_owner b perm (Persist.owner l);
+            Buffer.contents b)
 
 let make (type s o r)
     (module T : Rcons_spec.Object_type.S with type state = s and type op = o and type resp = r)

@@ -205,6 +205,28 @@ let test_fingerprint_bytes_pinned () =
           Printf.sprintf "%d perms, min %s, beats identity %b" (List.length perms)
             (Digest.to_hex d) beat))
 
+(* [Heap.add_int] is the one integer encoder of fingerprints: it must
+   append exactly what [string_of_int] prints, for every int. *)
+let add_int_bytes n =
+  let b = Buffer.create 8 in
+  Buffer.add_char b '<';
+  Heap.add_int b n;
+  Buffer.contents b
+
+let test_add_int_cases () =
+  let powers = List.init 18 (fun k -> int_of_float (10. ** float_of_int (k + 1))) in
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) ("<" ^ string_of_int n) (add_int_bytes n))
+    ([ 0; 9; 10; 99; 100; -1; -9; -10; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; p + 1; -p; 1 - p ]) powers)
+
+let qcheck_add_int =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"Heap.add_int writes the bytes of string_of_int"
+       ~print:string_of_int
+       QCheck2.Gen.(oneof [ int; small_signed_int; int_range (-1_000_000) 1_000_000 ])
+       (fun n -> add_int_bytes n = "<" ^ string_of_int n))
+
 let schedule_gen = QCheck2.Gen.(list_size (int_range 0 14) (int_bound 999))
 
 let qcheck_fingerprint_stable =
@@ -236,6 +258,8 @@ let suite =
     Alcotest.test_case "dedup violation schedule: seq = par" `Quick
       test_dedup_violation_schedule_identical;
     Alcotest.test_case "fingerprint bytes are pinned" `Quick test_fingerprint_bytes_pinned;
+    Alcotest.test_case "Heap.add_int edge cases" `Quick test_add_int_cases;
+    qcheck_add_int;
     qcheck_fingerprint_stable;
     qcheck_fingerprint_stable_fig4;
   ]
