@@ -137,10 +137,11 @@ module Telemetry : sig
       byte peak to at least [bytes_peak]. *)
 
   val note_rehashes : full:int -> saved:int -> unit
-  (** Batched contribution from one fingerprint snapshot: how many
-      component digests were recomputed vs served from cache. *)
+  (** Batched contribution from one domain's fingerprint snapshots
+      (flushed once per exploration walk): how many component digests
+      were recomputed vs served from cache. *)
 
   val note_canon_saved_bytes : int -> unit
   (** Bytes the canonical-relabeling loop reused instead of
-      re-serializing. *)
+      re-serializing, batched like {!note_rehashes}. *)
 end
