@@ -327,6 +327,14 @@ let resume_command (w : Cex.workload) ~max_crashes ~dedup ~file =
 (* The explorer's fixed node cap for a run without a budget. *)
 let node_cap = 20_000_000
 
+(* Minor-heap words allocated so far by every domain.  After a minor
+   collection the calling domain's count is exact, and a worker domain's
+   count is final once it has exited, which the explorer's workers have
+   when it returns. *)
+let minor_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words
+
 (* Exhaustively explore a counterexample workload (team consensus or
    replicated log), with the budget/checkpoint/resume/shrink plumbing.
    Exit codes: 0 done (violation or not), 1 workload does not build, 2
@@ -365,9 +373,10 @@ let run_exhaustive w
            backtrace -- same contract as a corrupt artifact. *)
         match Option.map (fun file -> E.load_checkpoint ~file) resume with
         | exception (Invalid_argument msg | Sys_error msg | Failure msg) ->
-            Format.eprintf "cannot load checkpoint: %s@." msg;
+            Format.eprintf "cannot load checkpoint %s: %s@." (Option.get resume) msg;
             2
         | resume_from -> (
+            let words0 = minor_words () in
             match
               (* The ambient cache makes the explorer record the policy
                  in provenance; each replayed system still gets its own
@@ -378,8 +387,16 @@ let run_exhaustive w
                 ()
             with
             | stats ->
+                let words = minor_words () -. words0 in
                 Format.printf "exhaustive: %d schedules, %d nodes, max depth %d -- no violation@."
                   stats.E.schedules stats.E.nodes stats.E.max_depth;
+                (* On a resumed run only the edges walked here count. *)
+                let edges =
+                  stats.E.nodes
+                  - Option.fold ~none:0 ~some:(fun cp -> (E.checkpoint_stats cp).E.nodes) resume_from
+                in
+                Format.printf "alloc: %.0f minor words, %.1f words/edge@." words
+                  (words /. float_of_int (max 1 edges));
                 if dedup then
                   Format.printf
                     "dedup: %d distinct states, %d hits (node counts are state-graph edges)@."

@@ -43,14 +43,36 @@ let record t i v =
 let all t = Array.to_list t.outputs |> List.concat
 let decided t i = t.outputs.(i) <> []
 
+(* The checks run after every explored edge, so they walk [outputs] in
+   place, allocating nothing, in the order of [all]: process by process,
+   each one's outputs most recent first. *)
+
+let rec all_equal v = function [] -> true | x :: tl -> v = x && all_equal v tl
+
+let rec agree_from v outs i =
+  i = Array.length outs || (all_equal v outs.(i) && agree_from v outs (i + 1))
+
+let rec agreement_at outs i =
+  i = Array.length outs
+  ||
+  match outs.(i) with
+  | [] -> agreement_at outs (i + 1)
+  | v :: rest -> all_equal v rest && agree_from v outs (i + 1)
+
 (* Agreement: no two output values produced (by any processes, in any
-   runs) are different. *)
-let agreement_ok t =
-  match all t with [] -> true | v :: rest -> List.for_all (( = ) v) rest
+   runs) are different -- every output equals the first one. *)
+let agreement_ok t = agreement_at t.outputs 0
+
+let rec is_input inputs v i =
+  i < Array.length inputs && (v = inputs.(i) || is_input inputs v (i + 1))
+
+let rec all_inputs inputs = function [] -> true | v :: tl -> is_input inputs v 0 && all_inputs inputs tl
+
+let rec valid_from inputs outs i =
+  i = Array.length outs || (all_inputs inputs outs.(i) && valid_from inputs outs (i + 1))
 
 (* Validity: each output value is the input value of some process. *)
-let validity_ok t =
-  List.for_all (fun v -> Array.exists (( = ) v) t.inputs) (all t)
+let validity_ok t = valid_from t.inputs t.outputs 0
 
 let check_exn ~fail t =
   if not (agreement_ok t) then fail "agreement violated";

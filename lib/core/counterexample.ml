@@ -203,29 +203,33 @@ let workload_of_json j =
   let log_slots =
     match Json.member "kind" j with
     | Some (Json.String "team-consensus") -> None
-    | Some (Json.String "replicated-log") -> Some (Json.to_int (Json.field "slots" j))
+    | Some (Json.String "replicated-log") -> Some (Json.get "slots" Json.to_int j)
     | _ -> invalid_arg "Counterexample.of_json: unknown workload kind"
   in
+  (* Fields absent from older artifacts default to the seed model. *)
+  let opt k conv default = match Json.member k j with Some v -> conv ?field:(Some k) v | None -> default in
   {
-    type_name = Json.to_str (Json.field "type" j);
-    level = Json.to_int (Json.field "level" j);
-    faithful = Json.to_bool (Json.field "faithful" j);
-    input_a = Json.to_int (Json.field "input_a" j);
-    input_b = Json.to_int (Json.field "input_b" j);
-    (* Absent in pre-persistency artifacts: default to the seed model. *)
+    type_name = Json.get "type" Json.to_str j;
+    level = Json.get "level" Json.to_int j;
+    faithful = Json.get "faithful" Json.to_bool j;
+    input_a = Json.get "input_a" Json.to_int j;
+    input_b = Json.get "input_b" Json.to_int j;
     persist =
       (match Json.member "persist" j with
-      | Some v -> Persist.policy_of_string (Json.to_str v)
+      | Some v -> Persist.policy_of_string (Json.to_str ~field:"persist" v)
       | None -> Persist.Eager);
-    annotated = (match Json.member "annotated" j with Some v -> Json.to_bool v | None -> false);
-    flush_cost = (match Json.member "flush_cost" j with Some v -> Json.to_int v | None -> 1);
+    annotated = opt "annotated" Json.to_bool false;
+    flush_cost = opt "flush_cost" Json.to_int 1;
     log_slots;
   }
+
+(* The artifact format this build writes and reads. *)
+let version = 1
 
 let to_json t =
   Json.Obj
     [
-      ("version", Json.Int 1);
+      ("version", Json.Int version);
       ("kind", Json.String "counterexample");
       ("workload", workload_to_json t.workload);
       ("msg", Json.String t.msg);
@@ -237,17 +241,18 @@ let to_json t =
     ]
 
 let of_json j =
+  Json.require_version ~what:"counterexample" version j;
   (match Json.member "kind" j with
   | Some (Json.String "counterexample") -> ()
   | _ -> invalid_arg "Counterexample.of_json: not a counterexample artifact");
   {
     workload = workload_of_json (Json.field "workload" j);
-    msg = Json.to_str (Json.field "msg" j);
+    msg = Json.get "msg" Json.to_str j;
     schedule = Schedule.of_json (Json.field "schedule" j);
     shrunk_from =
       (match Json.member "shrunk_from" j with
       | Some Json.Null | None -> None
-      | Some v -> Some (Json.to_int v));
+      | Some v -> Some (Json.to_int ~field:"shrunk_from" v));
     provenance =
       (match Json.member "provenance" j with
       | Some Json.Null | None -> None

@@ -120,6 +120,10 @@ val replay : t -> [ `Violated of string | `Passed ]
 
 val to_json : t -> Rcons_runtime.Json.t
 val of_json : Rcons_runtime.Json.t -> t
+(** Reads ["version"] first and refuses any version but the one
+    {!to_json} writes.
+    @raise Invalid_argument on another version or malformed input; the
+    message names the offending field. *)
 
 val save : file:string -> t -> unit
 val load : file:string -> t

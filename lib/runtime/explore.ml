@@ -181,10 +181,13 @@ exception Interrupted of checkpoint
 let checkpoint_stats cp = cp.cp_stats
 let checkpoint_cursor cp = cp.cp_cursor
 
+(* The checkpoint format this build writes and reads. *)
+let checkpoint_version = 1
+
 let checkpoint_to_json cp =
   Json.Obj
     ([
-      ("version", Json.Int 1);
+      ("version", Json.Int checkpoint_version);
       ("kind", Json.String "explore-checkpoint");
       ("max_crashes", Json.Int cp.cp_max_crashes);
       ("max_steps", Json.Int cp.cp_max_steps);
@@ -210,48 +213,72 @@ let checkpoint_to_json cp =
     ])
 
 let checkpoint_of_json j =
+  Json.require_version ~what:"checkpoint" checkpoint_version j;
   if (match Json.member "kind" j with Some (Json.String "explore-checkpoint") -> false | _ -> true)
   then invalid_arg "Explore.checkpoint_of_json: not an explore checkpoint";
   let stats = Json.field "stats" j in
-  let int k v = Json.to_int (Json.field k v) in
+  let int k v = Json.get k Json.to_int v in
   (* Fields added after the v1 format default when absent, so pre-reduction
      checkpoints stay loadable. *)
-  let opt_int k v = match Json.member k v with Some x -> Json.to_int x | None -> 0 in
-  {
-    cp_cursor = Schedule.of_json (Json.field "cursor" j);
-    cp_stats =
-      {
-        schedules = int "schedules" stats;
-        nodes = int "nodes" stats;
-        max_depth = int "max_depth" stats;
-        dedup_hits = int "dedup_hits" stats;
-        distinct_states = int "distinct_states" stats;
-        por_pruned = opt_int "por_pruned" stats;
-        symmetry_hits = opt_int "symmetry_hits" stats;
-      };
-    cp_visited =
-      List.map (fun s -> Digest.from_hex (Json.to_str s)) (Json.to_list (Json.field "visited" j));
-    cp_max_crashes = int "max_crashes" j;
-    cp_max_steps = int "max_steps" j;
-    cp_dedup = Json.to_bool (Json.field "dedup" j);
-    cp_por = (match Json.member "por" j with Some b -> Json.to_bool b | None -> false);
-    cp_engine =
-      (* Either strategy may resume either cut -- the cursor format is
-         strategy-independent -- but a checkpoint claiming an engine
-         this build does not know is from the future, and its cursor may
-         mean something else: refuse it rather than misresume. *)
-      (match Json.member "engine" j with
-      | None -> "replay" (* pre-undo checkpoints *)
-      | Some (Json.String ("undo" as e)) | Some (Json.String ("replay" as e)) -> e
-      | Some (Json.String e) ->
-          invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
-      | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
-    cp_workload =
-      (match Json.member "workload" j with
-      | None -> None (* checkpoints cut before workloads were recorded *)
-      | Some (Json.String f) -> Some f
-      | Some _ -> invalid_arg "Explore.checkpoint_of_json: workload must be a string");
-  }
+  let opt_int k v = match Json.member k v with Some x -> Json.to_int ~field:k x | None -> 0 in
+  let cp =
+    {
+      cp_cursor = Schedule.of_json ~field:"cursor" (Json.field "cursor" j);
+      cp_stats =
+        {
+          schedules = int "schedules" stats;
+          nodes = int "nodes" stats;
+          max_depth = int "max_depth" stats;
+          dedup_hits = int "dedup_hits" stats;
+          distinct_states = int "distinct_states" stats;
+          por_pruned = opt_int "por_pruned" stats;
+          symmetry_hits = opt_int "symmetry_hits" stats;
+        };
+      cp_visited =
+        List.map
+          (fun s -> Digest.from_hex (Json.to_str ~field:"visited" s))
+          (Json.get "visited" Json.to_list j);
+      cp_max_crashes = int "max_crashes" j;
+      cp_max_steps = int "max_steps" j;
+      cp_dedup = Json.get "dedup" Json.to_bool j;
+      cp_por = (match Json.member "por" j with Some b -> Json.to_bool ~field:"por" b | None -> false);
+      cp_engine =
+        (* Either strategy may resume either cut -- the cursor format is
+           strategy-independent -- but a checkpoint claiming an engine
+           this build does not know is from the future, and its cursor may
+           mean something else: refuse it rather than misresume. *)
+        (match Json.member "engine" j with
+        | None -> "replay" (* pre-undo checkpoints *)
+        | Some (Json.String ("undo" as e)) | Some (Json.String ("replay" as e)) -> e
+        | Some (Json.String e) ->
+            invalid_arg ("Explore.checkpoint_of_json: unknown exploration engine " ^ e)
+        | Some _ -> invalid_arg "Explore.checkpoint_of_json: engine must be a string");
+      cp_workload =
+        (match Json.member "workload" j with
+        | None -> None (* checkpoints cut before workloads were recorded *)
+        | Some (Json.String f) -> Some f
+        | Some _ -> invalid_arg "Explore.checkpoint_of_json: workload must be a string");
+    }
+  in
+  (* A resumable dedup checkpoint lists exactly the states its stats
+     count: a cut or padded list would resume to wrong totals. *)
+  if cp.cp_dedup && not cp.cp_por then begin
+    let listed = List.length cp.cp_visited in
+    if listed <> cp.cp_stats.distinct_states then
+      invalid_arg
+        (Printf.sprintf
+           "Explore.checkpoint_of_json: visited lists %d states but stats.distinct_states is %d"
+           listed cp.cp_stats.distinct_states);
+    let seen = Hashtbl.create listed in
+    List.iter
+      (fun d ->
+        if Hashtbl.mem seen d then
+          invalid_arg
+            ("Explore.checkpoint_of_json: visited lists state " ^ Digest.to_hex d ^ " twice");
+        Hashtbl.add seen d ())
+      cp.cp_visited
+  end;
+  cp
 
 let save_checkpoint ~file cp =
   (* Write-temp-then-rename (the [Cert_cache] convention): a crash --
@@ -511,26 +538,30 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       st_elements = (fun () -> []);
     }
   in
-  let mask_of_choice = function
-    | Step_choice i -> 1 lsl (2 * i)
-    | Crash_choice i -> 1 lsl ((2 * i) + 1)
+  (* Sleep sets are bit masks over child positions (see [expand]): bit
+     [2i] is a crash of process i, bit [2i + 1] a step of it. *)
+  let indep fps crashes_used ju jc =
+    let p = ju lsr 1 and q = jc lsr 1 in
+    p <> q
+    &&
+    match (ju land 1, jc land 1) with
+    | 1, 1 -> Rcons_spec.Footprint.independent fps.(p) fps.(q)
+    | 0, 0 ->
+        (* Swapping two crashes needs both executable in either order,
+           i.e. two remaining crash credits. *)
+        max_crashes - crashes_used >= 2
+    | _ -> eager_model
   in
-  let mask_of sleep = List.fold_left (fun m c -> m lor mask_of_choice c) 0 sleep in
-  let choices t crashes_used =
-    let n = Sim.num_procs t in
-    let rec collect i acc =
-      if i < 0 then acc
-      else
-        let acc = if Sim.finished t i then acc else Step_choice i :: acc in
-        let acc =
-          if crashes_used < max_crashes && Sim.started t i && not (Sim.finished t i) then
-            Crash_choice i :: acc
-          else acc
-        in
-        collect (i - 1) acc
-    in
-    collect (n - 1) []
+  (* The sleep set a child inherits: the members of [sleep] independent
+     of the child's choice [jc]. *)
+  let child_sleep fps crashes_used sleep jc =
+    let s = ref 0 in
+    for ju = 0 to (2 * Array.length fps) - 1 do
+      if sleep land (1 lsl ju) <> 0 && indep fps crashes_used ju jc then s := !s lor (1 lsl ju)
+    done;
+    !s
   in
+  let position = function Crash_choice i -> 2 * i | Step_choice i -> (2 * i) + 1 in
   let stats_of ?nodes store cnt =
     {
       schedules = cnt.c_schedules;
@@ -571,7 +602,7 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
      dead to this walk either way, and is abandoned however the walk
      exits. *)
   let walk ?stop_depth ?(emit = fun _ _ _ -> ()) ?(cancelled = fun () -> false) ?store
-      ?(resume = []) ?(sleep0 = []) cnt prefix0 depth0 crashes0 =
+      ?(resume = []) ?(sleep0 = 0) cnt prefix0 depth0 crashes0 =
     let journal = strategy = Restore in
     if journal then Undo.install ();
     Fun.protect
@@ -594,138 +625,136 @@ let explore ?(max_crashes = 1) ?(max_steps = 10_000) ?(max_nodes = 20_000_000) ?
       live.sys <- t;
       live.check <- check
     in
+    (* The children of a node are the positions [j = 0 .. 2n-1] in
+       order: [2i] crashes process i (if it has started, is unfinished
+       and a crash credit is left), [2i + 1] steps it (if unfinished).
+       Eligibility is read off the live system when the loop reaches
+       [j]; every earlier sibling has been backtracked by then, so the
+       system is at the node's state.  Only [last], the final eligible
+       position, is found up front: its backtrack is elided. *)
+    let n = Sim.num_procs t in
+    let choice_at =
+      Array.init (2 * n) (fun j -> if j land 1 = 0 then Crash_choice (j lsr 1) else Step_choice (j lsr 1))
+    in
+    let eligible t crashes_used j =
+      let i = j lsr 1 in
+      (not (Sim.finished t i)) && (j land 1 = 1 || (crashes_used < max_crashes && Sim.started t i))
+    in
+    (* Where the resume cursor enters this node: children before it were
+       fully explored before the interrupt; the cursor spine itself was
+       already counted and claimed. *)
+    let resume_position t crashes_used c0 =
+      let j = position c0 in
+      if j < 0 || j >= 2 * n || not (eligible t crashes_used j) then
+        invalid_arg
+          "Explore.explore: resume cursor does not match this workload (different mk or \
+           parameters?)";
+      j
+    in
     let rec expand prefix depth crashes_used resume sleep_in =
       let t = live.sys in
-      match choices t crashes_used with
-      | [] -> cnt.c_schedules <- cnt.c_schedules + 1 (* leaf; the system lives on *)
-      | cs ->
-          (* Footprints are read off the system at node entry, before any
-             child moves it. *)
-          let fps =
-            if por then begin
-              let n = Sim.num_procs t in
-              if n > 30 then invalid_arg "Explore.explore: por supports at most 30 processes";
-              Array.init n (fun i ->
-                  match Sim.pending_footprint t i with
-                  | Some f -> f
-                  | None -> Rcons_spec.Footprint.Global)
-            end
-            else [||]
-          in
-          let indep u c =
-            match (u, c) with
-            | Step_choice p, Step_choice q ->
-                p <> q && Rcons_spec.Footprint.independent fps.(p) fps.(q)
-            | Crash_choice p, Crash_choice q ->
-                (* Swapping two crashes needs both executable in either
-                   order, i.e. two remaining crash credits. *)
-                p <> q && max_crashes - crashes_used >= 2
-            | Crash_choice p, Step_choice q | Step_choice q, Crash_choice p ->
-                p <> q && eager_model
-          in
-          (* Position of the resume cursor among this node's children:
-             children before it were fully explored before the
-             interrupt; the cursor spine itself ([on_path]) was already
-             counted and claimed. *)
-          let resume_idx, resume_rest =
-            match resume with
-            | [] -> (-1, [])
-            | c0 :: rest ->
-                let rec find k = function
-                  | [] ->
-                      invalid_arg
-                        "Explore.explore: resume cursor does not match this workload (different \
-                         mk or parameters?)"
-                  | c :: tl -> if c = c0 then k else find (k + 1) tl
-                in
-                (find 0 cs, rest)
-          in
-          let sleep = ref sleep_in in
-          let last = List.length cs - 1 in
-          List.iteri
-            (fun k c ->
-              if k < resume_idx then () (* left of the cursor: already explored *)
-              else if por && List.mem c !sleep then
-                (* Asleep: a sibling subtree already covers every
-                   interleaving this child would start (modulo swaps of
-                   independent transitions). *)
-                cnt.c_por_pruned <- cnt.c_por_pruned + 1
+      let last = ref ((2 * n) - 1) in
+      while !last >= 0 && not (eligible t crashes_used !last) do
+        decr last
+      done;
+      let last = !last in
+      if last < 0 then cnt.c_schedules <- cnt.c_schedules + 1 (* leaf; the system lives on *)
+      else begin
+        (* Footprints are read off the system at node entry, before any
+           child moves it. *)
+        let fps =
+          if por then begin
+            if n > 30 then invalid_arg "Explore.explore: por supports at most 30 processes";
+            Array.init n (fun i ->
+                match Sim.pending_footprint t i with
+                | Some f -> f
+                | None -> Rcons_spec.Footprint.Global)
+          end
+          else [||]
+        in
+        let first = match resume with [] -> 0 | c0 :: _ -> resume_position t crashes_used c0 in
+        let resume_rest = match resume with [] -> [] | _ :: rest -> rest in
+        let sleep = ref sleep_in in
+        for j = first to last do
+          if not (eligible live.sys crashes_used j) then ()
+          else if por && !sleep land (1 lsl j) <> 0 then
+            (* Asleep: a sibling subtree already covers every
+               interleaving this child would start (modulo swaps of
+               independent transitions). *)
+            cnt.c_por_pruned <- cnt.c_por_pruned + 1
+          else begin
+            let c = choice_at.(j) in
+            (* The journal extent before the child ([Rebuild] keeps no
+               journal and ignores it); the last child's backtrack is
+               elided, so it needs none. *)
+            let m = if j < last then Sim.mark live.sys else root_mark in
+            let depth' = depth + 1 in
+            let prefix' = c :: prefix in
+            let crashes' = if j land 1 = 0 then crashes_used + 1 else crashes_used in
+            (* Whether the live system was moved into the child. *)
+            let moved =
+              if resume <> [] && j = first && resume_rest <> [] then begin
+                (* Re-descend the checkpoint spine: counted and (in
+                   dedup mode) claimed before the interrupt, so neither
+                   is repeated. *)
+                descend c prefix';
+                expand prefix' depth' crashes' resume_rest 0;
+                true
+              end
               else begin
-                (* The journal extent before the child ([Rebuild] keeps
-                   no journal and ignores it); the last child's backtrack
-                   is elided, so it needs none. *)
-                let m = if k < last then Sim.mark live.sys else root_mark in
-                let depth' = depth + 1 in
-                let prefix' = c :: prefix in
-                let crashes' =
-                  match c with Crash_choice _ -> crashes_used + 1 | Step_choice _ -> crashes_used
-                in
-                (* Whether the live system was moved into the child. *)
-                let moved =
-                  if k = resume_idx && resume_rest <> [] then begin
-                    (* Re-descend the checkpoint spine: counted and (in
-                       dedup mode) claimed before the interrupt, so
-                       neither is repeated. *)
-                    descend c prefix';
-                    expand prefix' depth' crashes' resume_rest [];
-                    true
-                  end
-                  else begin
-                    cnt.c_nodes <- cnt.c_nodes + 1;
-                    let total = Atomic.fetch_and_add nodes_total 1 + 1 in
-                    if total > max_nodes then
-                      raise (Budget_exceeded (stats_of ~nodes:total store cnt));
-                    if budgeted && over_budget cnt then begin
-                      (* Roll the uncounted-on-resume node back out of
-                         the counters: the checkpoint's statistics are
-                         exactly those of the explored region. *)
-                      cnt.c_nodes <- cnt.c_nodes - 1;
-                      raise (Interrupt_at (List.rev prefix'))
-                    end;
-                    if cancelled () then raise Cancelled;
-                    if depth' > max_steps then
-                      raise (violation "step bound exceeded (wait-freedom?)" prefix');
-                    if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
-                    let frontier = match stop_depth with Some d -> depth' >= d | None -> false in
-                    let child_sleep = if por then List.filter (fun u -> indep u c) !sleep else [] in
-                    match store with
-                    | None ->
-                        if frontier then begin
-                          emit prefix' crashes' child_sleep;
-                          false
-                        end
-                        else begin
-                          descend c prefix';
-                          expand prefix' depth' crashes' [] child_sleep;
-                          true
-                        end
-                    | Some st ->
-                        (* Dedup mode: position the child even at the
-                           frontier (its fingerprint must be claimed
-                           before emission so phase 2 expands it exactly
-                           once). *)
-                        descend c prefix';
-                        if st.st_claim cnt live.sys ~mask:(mask_of child_sleep) ~depth:depth'
-                        then
-                          if frontier then emit prefix' crashes' child_sleep
-                          else expand prefix' depth' crashes' [] child_sleep
-                        else cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
-                        true
-                  end
-                in
-                (* Last-child elision: the last child leaves its backtrack
-                   to the enclosing one. *)
-                if moved && k < last then begin
-                  match strategy with
-                  | Restore -> Sim.rollback live.sys m
-                  | Rebuild -> rebuild prefix
+                cnt.c_nodes <- cnt.c_nodes + 1;
+                let total = Atomic.fetch_and_add nodes_total 1 + 1 in
+                if total > max_nodes then raise (Budget_exceeded (stats_of ~nodes:total store cnt));
+                if budgeted && over_budget cnt then begin
+                  (* Roll the uncounted-on-resume node back out of the
+                     counters: the checkpoint's statistics are exactly
+                     those of the explored region. *)
+                  cnt.c_nodes <- cnt.c_nodes - 1;
+                  raise (Interrupt_at (List.rev prefix'))
                 end;
-                (* The child's subtree is now fully covered (explored
-                   here, emitted for phase 2, or claimed earlier), so
-                   later siblings may sleep on it. *)
-                if por then sleep := c :: !sleep
-              end)
-            cs
+                if cancelled () then raise Cancelled;
+                if depth' > max_steps then
+                  raise (violation "step bound exceeded (wait-freedom?)" prefix');
+                if depth' > cnt.c_max_depth then cnt.c_max_depth <- depth';
+                let frontier = match stop_depth with Some d -> depth' >= d | None -> false in
+                let child_sleep = if por then child_sleep fps crashes_used !sleep j else 0 in
+                match store with
+                | None ->
+                    if frontier then begin
+                      emit prefix' crashes' child_sleep;
+                      false
+                    end
+                    else begin
+                      descend c prefix';
+                      expand prefix' depth' crashes' [] child_sleep;
+                      true
+                    end
+                | Some st ->
+                    (* Dedup mode: position the child even at the
+                       frontier (its fingerprint must be claimed before
+                       emission so phase 2 expands it exactly once). *)
+                    descend c prefix';
+                    if st.st_claim cnt live.sys ~mask:child_sleep ~depth:depth' then
+                      if frontier then emit prefix' crashes' child_sleep
+                      else expand prefix' depth' crashes' [] child_sleep
+                    else cnt.c_dedup_hits <- cnt.c_dedup_hits + 1;
+                    true
+              end
+            in
+            (* Last-child elision: the last child leaves its backtrack to
+               the enclosing one. *)
+            if moved && j < last then begin
+              match strategy with
+              | Restore -> Sim.rollback live.sys m
+              | Rebuild -> rebuild prefix
+            end;
+            (* The child's subtree is now fully covered (explored here,
+               emitted for phase 2, or claimed earlier), so later
+               siblings may sleep on it. *)
+            if por then sleep := !sleep lor (1 lsl j)
+          end
+        done
+      end
     in
     (* The root state is expanded, never reached through an edge, so it
        is claimed here (on a resumed run it already is, and the claim is

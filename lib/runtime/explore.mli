@@ -189,6 +189,12 @@ val checkpoint_cursor : checkpoint -> choice list
 
 val checkpoint_to_json : checkpoint -> Json.t
 val checkpoint_of_json : Json.t -> checkpoint
+(** Reads ["version"] first and refuses any version but the one
+    {!checkpoint_to_json} writes.  A dedup checkpoint taken without por
+    must list exactly [stats.distinct_states] visited digests, none
+    twice: a cut or padded list would resume to wrong totals.
+    @raise Invalid_argument on any of these, or on malformed input (the
+    message names the offending field). *)
 
 val save_checkpoint : file:string -> checkpoint -> unit
 (** Serialize atomically: the JSON is written to [file ^ ".tmp"] and

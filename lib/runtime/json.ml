@@ -252,11 +252,29 @@ let field k v =
   | Some x -> x
   | None -> invalid_arg (Printf.sprintf "Json: missing field %S" k)
 
-let to_int = function
-  | Int i -> i
-  | _ -> invalid_arg "Json.to_int"
+(* A type mismatch names the field when the caller says which one it
+   read ([?field], or {!get}); otherwise it names the accessor. *)
+let mismatch ?field accessor expected =
+  invalid_arg
+    (match field with
+    | Some k -> Printf.sprintf "field %S: expected %s" k expected
+    | None -> "Json." ^ accessor)
 
-let to_float = function Float f -> f | Int i -> float_of_int i | _ -> invalid_arg "Json.to_float"
-let to_bool = function Bool b -> b | _ -> invalid_arg "Json.to_bool"
-let to_str = function String s -> s | _ -> invalid_arg "Json.to_str"
-let to_list = function List xs -> xs | _ -> invalid_arg "Json.to_list"
+let to_int ?field = function Int i -> i | _ -> mismatch ?field "to_int" "int"
+
+let to_float ?field = function
+  | Float f -> f
+  | Int i -> float_of_int i
+  | _ -> mismatch ?field "to_float" "number"
+
+let to_bool ?field = function Bool b -> b | _ -> mismatch ?field "to_bool" "bool"
+let to_str ?field = function String s -> s | _ -> mismatch ?field "to_str" "string"
+let to_list ?field = function List xs -> xs | _ -> mismatch ?field "to_list" "list"
+let get k conv v = conv ?field:(Some k) (field k v)
+
+let require_version ~what version j =
+  let v = get "version" to_int j in
+  if v <> version then
+    invalid_arg
+      (Printf.sprintf "%s version %d is not supported (this build reads version %d)" what v
+         version)

@@ -38,13 +38,27 @@ val parse : string -> (t, string) result
 val parse_exn : string -> t
 (** @raise Invalid_argument on parse errors. *)
 
-(** {2 Accessors} -- all raise [Invalid_argument] with the field name on
-    shape mismatches, so artifact loading fails with a useful message. *)
+(** {2 Accessors} -- all raise [Invalid_argument] on shape mismatches,
+    so artifact loading fails with a useful one-line message.  A
+    missing field is named ([Json: missing field "level"]); so is a
+    field of the wrong type when the caller says which field it read,
+    through [?field] or {!get} ([field "level": expected int]). *)
 
 val member : string -> t -> t option
 val field : string -> t -> t
-val to_int : t -> int
-val to_float : t -> float
-val to_bool : t -> bool
-val to_str : t -> string
-val to_list : t -> t list
+val to_int : ?field:string -> t -> int
+val to_float : ?field:string -> t -> float
+val to_bool : ?field:string -> t -> bool
+val to_str : ?field:string -> t -> string
+val to_list : ?field:string -> t -> t list
+
+val get : string -> (?field:string -> t -> 'a) -> t -> 'a
+(** [get k conv v] is [conv] applied to field [k] of [v], with [k]
+    named in a type mismatch: [get "level" to_int v]. *)
+
+val require_version : what:string -> int -> t -> unit
+(** [require_version ~what n v] checks that [v]'s ["version"] field is
+    the int [n]; otherwise it raises [Invalid_argument] naming [what]
+    and both versions.  Artifact loaders call it before reading any
+    other field, so a file from another format version is refused
+    rather than misread. *)

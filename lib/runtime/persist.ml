@@ -97,9 +97,15 @@ let restore saved = Domain.DLS.set key saved
    (set-up [poke]s) see no context and persist immediately. *)
 let ctx : (cache * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let in_step c pid f =
+let in_step c pid f x =
   Domain.DLS.set ctx (Some (c, pid));
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ctx None) f
+  match f x with
+  | v ->
+      Domain.DLS.set ctx None;
+      v
+  | exception e ->
+      Domain.DLS.set ctx None;
+      raise e
 
 let no_touch () = ()
 

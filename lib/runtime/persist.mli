@@ -57,10 +57,12 @@ val scoped : ?flush_cost:int -> policy -> (unit -> 'a) -> 'a
 
 (** {2 Hooks for [Sim] and the shared-object constructors} *)
 
-val in_step : cache -> int -> (unit -> 'a) -> 'a
-(** Bracket one simulator step of pid [i] on a cache-backed system:
-    establishes the (cache, pid) step context that [dirty] and
-    [fence_here] consult. *)
+val in_step : cache -> int -> ('a -> 'b) -> 'a -> 'b
+(** [in_step c i f x] brackets one simulator step [f x] of pid [i] on a
+    cache-backed system: establishes the (cache, pid) step context that
+    [dirty] and [fence_here] consult, and clears it however [f]
+    returns.  [f] takes its argument directly so the simulator passes a
+    static function and allocates no closure per step. *)
 
 val attach :
   ?touch:(unit -> unit) -> persist:(unit -> unit) -> revert:(unit -> unit) -> unit -> line option

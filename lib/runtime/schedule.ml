@@ -35,10 +35,10 @@ let to_json cs =
          | Crash_choice i -> Json.String ("c" ^ string_of_int i))
        cs)
 
-let of_json j =
+let of_json ?(field = "schedule") j =
   List.map
     (fun item ->
-      let s = Json.to_str item in
+      let s = Json.to_str ~field item in
       if String.length s < 2 then invalid_arg "Schedule.of_json: bad choice";
       let pid =
         match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
@@ -49,7 +49,7 @@ let of_json j =
       | 's' -> Step_choice pid
       | 'c' -> Crash_choice pid
       | _ -> invalid_arg "Schedule.of_json: bad choice tag")
-    (Json.to_list j)
+    (Json.to_list ~field j)
 
 type provenance = {
   origin : string;
@@ -69,15 +69,15 @@ let provenance_to_json p =
     ]
 
 let provenance_of_json j =
+  let opt k conv = match Json.field k j with Json.Null -> None | v -> Some (conv ?field:(Some k) v) in
   {
-    origin = Json.to_str (Json.field "origin" j);
-    seed = (match Json.field "seed" j with Json.Null -> None | v -> Some (Json.to_int v));
+    origin = Json.get "origin" Json.to_str j;
+    seed = opt "seed" Json.to_int;
     params =
       (match Json.field "params" j with
-      | Json.Obj fields -> List.map (fun (k, v) -> (k, Json.to_str v)) fields
-      | _ -> invalid_arg "Schedule.provenance_of_json: params");
-    fingerprint =
-      (match Json.field "fingerprint" j with Json.Null -> None | v -> Some (Json.to_str v));
+      | Json.Obj fields -> List.map (fun (k, v) -> (k, Json.to_str ~field:k v)) fields
+      | _ -> invalid_arg "field \"params\": expected object");
+    fingerprint = opt "fingerprint" Json.to_str;
   }
 
 let pp_provenance ppf p =

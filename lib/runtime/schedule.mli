@@ -29,8 +29,9 @@ val crashes : choice list -> int
 val to_json : choice list -> Json.t
 (** Compact array of ["s<pid>"] / ["c<pid>"] strings. *)
 
-val of_json : Json.t -> choice list
-(** @raise Invalid_argument on malformed input. *)
+val of_json : ?field:string -> Json.t -> choice list
+(** @raise Invalid_argument on malformed input; a type mismatch names
+    [field] (default ["schedule"]), the field the list was read from. *)
 
 (** Where a schedule came from: enough to re-derive it. *)
 type provenance = {

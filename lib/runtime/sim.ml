@@ -20,45 +20,51 @@ type _ Effect.t +=
 exception Crashed
 (* Raised inside a discarded continuation to unwind it cleanly. *)
 
-(* The rollback rebuild's feed source ([Sim.rollback]): while a rebuild
-   is re-running a process body, [step] consumes the recorded value of
-   each completed step directly -- no effect, no suspension -- and only
-   performs (suspending the body where the original run was suspended)
-   once the source is exhausted.  [no_feed] is the distinguished "not
-   rebuilding" state, so the normal path pays one domain-local load and
-   a physical-equality test. *)
-let no_feed : unit -> Obj.t option = fun () -> None
-
-let feed_key : (unit -> Obj.t option) ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref no_feed)
-
 (* [label] optionally names the shared object the access touches; the
    critical-execution explorer reads it off suspended processes to
    reproduce the "all processes are poised on the same object O" step of
    Theorem 14's proof.  [fp] is the access's step footprint ([None] =
    unknown, treated as conflicting with everything); the partial-order
    reduction reads it off suspended processes to decide which pending
-   steps commute. *)
+   steps commute.
+
+   While a rollback rebuild is re-running a process body ([rebuild]),
+   [step] consumes the recorded value of each completed step straight
+   from the domain's {!Undo.feed} -- no effect, no suspension -- and only
+   performs (suspending the body where the original run was suspended)
+   once the recorded values are used up.  Outside a rebuild the feed's
+   [len] is negative, so the normal path pays one domain-local load and
+   one comparison. *)
 let step ?label ?fp f =
-  let r = Domain.DLS.get feed_key in
-  if !r == no_feed then Effect.perform (Step (label, fp, f))
-  else
-    match !r () with
-    | Some v ->
-        (* Feeding: the cast is safe because the body is deterministic,
-           so the k-th step of a given run has one type and the recorded
-           value came from that very position.  The step thunk is
-           skipped: its heap effects were rolled back and must not
-           re-apply.  Trace and vlog were journal-restored. *)
-        Obj.obj v
-    | None -> Effect.perform (Step (label, fp, f))
+  let fd = Undo.feed () in
+  if fd.idx < fd.len then begin
+    (* Feeding: the cast is safe because the body is deterministic, so
+       the k-th step of a given run has one type and the recorded value
+       came from that very position.  The step thunk is skipped: its
+       heap effects were rolled back and must not re-apply.  Trace and
+       vlog were journal-restored. *)
+    let v = fd.src.(fd.idx) in
+    fd.idx <- fd.idx + 1;
+    Obj.obj v
+  end
+  else Effect.perform (Step (label, fp, f))
+
+(* What a process does at its next step.  The suspended continuation is
+   held together with the thunk of the access it is poised on: resuming
+   runs the thunk and continues with its value, discarding
+   discontinues, and neither needs a closure of its own. *)
+type pending =
+  | Idle (* nothing to run: the run returned or raised, or the system was abandoned *)
+  | Start (* armed: the next step starts the body *)
+  | Suspended : ('a, unit) Effect.Deep.continuation * (unit -> 'a) -> pending
+      (* poised on an access: run the thunk, continue with its value *)
 
 type proc = {
   id : int;
   body : unit -> unit;
   tracing : bool; (* record the volatile observation trace (fingerprinting)? *)
-  mutable resume : (unit -> unit) option; (* None = this run has finished *)
-  mutable discard : (unit -> unit) option; (* unwinds a pending continuation *)
+  mutable handler : (unit, unit) Effect.Deep.handler; (* built once, by [create] *)
+  mutable next : pending;
   mutable pending_label : string option; (* label of the suspended access *)
   mutable pending_fp : Rcons_spec.Footprint.t option; (* footprint of same *)
   mutable started : bool; (* has taken a step since its last (re)start *)
@@ -94,64 +100,151 @@ type t = {
   heap : Heap.t option; (* arena active at creation; None = no fingerprinting *)
   cache : Persist.cache option; (* write-back cache active at creation *)
   mutable total_steps : int;
-  mutable events : event list; (* most recent first *)
+  (* The event log, oldest first: [ev.(0 .. ev_len-1)], each event
+     [pid lsl 1] for a step or [pid lsl 1 lor 1] for a crash.  A
+     rollback restores [ev_len]; the entries above it are dead. *)
+  mutable ev : int array;
+  mutable ev_len : int;
   mutable dead : bool; (* abandoned: stepping or crashing it is a bug *)
+  (* The step journal: one entry per journaled step, holding the fields
+     the step may change -- [step_ints] ints in [j_ints] and the three
+     pointer fields in their own arrays.  Every entry is undone by the
+     same closure, [pop_step], built once with the system; the undo
+     journal holds one reference to it per step. *)
+  mutable j_ints : int array;
+  mutable j_labels : string option array;
+  mutable j_fps : Rcons_spec.Footprint.t option array;
+  mutable j_traces : string list array;
+  mutable j_len : int;
+  pop_step : unit -> unit;
 }
 
-let push_vlog p v =
-  let n = Array.length p.vlog in
-  if p.vlen = n then begin
-    let bigger = Array.make (max 8 (2 * n)) (Obj.repr ()) in
-    Array.blit p.vlog 0 bigger 0 n;
-    p.vlog <- bigger
-  end;
-  p.vlog.(p.vlen) <- v;
-  p.vlen <- p.vlen + 1
+(* A copy of [a] with room for [cap] elements, its first [used] kept. *)
+let enlarge a ~used ~cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 used;
+  b
 
-let run_body p =
+let push_vlog p v =
+  let n = p.vlen in
+  if n = Array.length p.vlog then p.vlog <- enlarge p.vlog ~used:n ~cap:(max 8 (2 * n)) (Obj.repr ());
+  p.vlog.(n) <- v;
+  p.vlen <- n + 1
+
+let push_event t e =
+  let n = t.ev_len in
+  if n = Array.length t.ev then t.ev <- enlarge t.ev ~used:n ~cap:(max 16 (2 * n)) 0;
+  t.ev.(n) <- e;
+  t.ev_len <- n + 1
+
+(* Saved ints per step-journal entry: pid, started/fin flags, step
+   count, total steps, event-log length, vlog length. *)
+let step_ints = 6
+
+let grow_journal t =
+  let used = Array.length t.j_labels in
+  let cap = max 32 (2 * used) in
+  t.j_ints <- enlarge t.j_ints ~used:(used * step_ints) ~cap:(cap * step_ints) 0;
+  t.j_labels <- enlarge t.j_labels ~used ~cap None;
+  t.j_fps <- enlarge t.j_fps ~used ~cap None;
+  t.j_traces <- enlarge t.j_traces ~used ~cap []
+
+(* Journal the fields a step of [p] may change, before it runs. *)
+let push_step t p =
+  let n = t.j_len in
+  if n = Array.length t.j_labels then grow_journal t;
+  let a = t.j_ints and b = n * step_ints in
+  a.(b) <- p.id;
+  a.(b + 1) <- (if p.started then 1 else 0) lor if p.fin then 2 else 0;
+  a.(b + 2) <- p.step_count;
+  a.(b + 3) <- t.total_steps;
+  a.(b + 4) <- t.ev_len;
+  a.(b + 5) <- p.vlen;
+  t.j_labels.(n) <- p.pending_label;
+  t.j_fps.(n) <- p.pending_fp;
+  t.j_traces.(n) <- p.trace;
+  t.j_len <- n + 1;
+  Undo.h_log p.uh t.pop_step
+
+(* Undo the newest step entry.  The journal pops LIFO, so this system's
+   newest entry is the one the popped reference was pushed with.  The
+   continuation itself cannot be restored: the proc is marked [stale]
+   and [rebuild] re-creates it by feeding the restored [vlen] prefix of
+   the value log. *)
+let pop_step t =
+  let n = t.j_len - 1 in
+  t.j_len <- n;
+  let a = t.j_ints and b = n * step_ints in
+  let p = t.procs.(a.(b)) in
+  let flags = a.(b + 1) in
+  p.started <- flags land 1 <> 0;
+  p.fin <- flags land 2 <> 0;
+  p.step_count <- a.(b + 2);
+  t.total_steps <- a.(b + 3);
+  t.ev_len <- a.(b + 4);
+  p.vlen <- a.(b + 5);
+  p.pending_label <- t.j_labels.(n);
+  p.pending_fp <- t.j_fps.(n);
+  p.trace <- t.j_traces.(n);
+  p.stale <- true
+
+let handler_of p =
   let open Effect.Deep in
-  match_with p.body ()
-    {
-      retc =
-        (fun () ->
-          p.resume <- None;
-          p.discard <- None;
-          p.fin <- true);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Step (label, fp, f) ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  p.pending_label <- label;
-                  p.pending_fp <- fp;
-                  p.resume <-
-                    Some
-                      (fun () ->
-                        let v = f () in
-                        if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
-                        if p.tracing then p.trace <- Heap.digest v :: p.trace;
-                        continue k v);
-                  p.discard <-
-                    Some
-                      (fun () ->
-                        match discontinue k Crashed with
-                        | () -> ()
-                        | exception Crashed -> ()))
-          | _ -> None);
-    }
+  {
+    retc =
+      (fun () ->
+        p.next <- Idle;
+        p.fin <- true);
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Step (label, fp, f) ->
+            p.pending_label <- label;
+            p.pending_fp <- fp;
+            Some (fun (k : (a, _) continuation) -> p.next <- Suspended (k, f))
+        | _ -> None);
+  }
+
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
+
+let run_body p = Effect.Deep.match_with p.body () p.handler
+
+(* Unwind a pending continuation (fiber stacks live outside the OCaml
+   heap, so a dropped one leaks) and leave nothing to run. *)
+let discard p =
+  (match p.next with
+  | Suspended (k, _) -> (
+      match Effect.Deep.discontinue k Crashed with () -> () | exception Crashed -> ())
+  | Idle | Start -> ());
+  p.next <- Idle
+
+(* One step of [p]: start the body, or run the pending access's thunk
+   and continue with its value -- up to the next suspension or the end
+   of the run. *)
+let advance p =
+  match p.next with
+  | Idle -> ()
+  | Start ->
+      p.next <- Idle;
+      run_body p
+  | Suspended (k, f) ->
+      p.next <- Idle;
+      let v = f () in
+      if Undo.h_installed p.uh then push_vlog p (Obj.repr v);
+      if p.tracing then p.trace <- Heap.digest v :: p.trace;
+      Effect.Deep.continue k v
 
 let arm p =
   p.started <- false;
-  p.discard <- None;
+  p.next <- Start;
   p.pending_label <- None;
   p.pending_fp <- None;
   p.trace <- [];
   p.vlen <- 0;
   p.fin <- false;
-  p.stale <- false; (* a fresh starter needs no rebuild *)
-  p.resume <- Some (fun () -> run_body p)
+  p.stale <- false (* a fresh starter needs no rebuild *)
 
 let create ~n body_of =
   let heap = Heap.current () in
@@ -163,8 +256,8 @@ let create ~n body_of =
             id;
             body = body_of id;
             tracing = heap <> None;
-            resume = None;
-            discard = None;
+            handler = no_handler;
+            next = Idle;
             pending_label = None;
             pending_fp = None;
             started = false;
@@ -178,17 +271,35 @@ let create ~n body_of =
             uh = Undo.handle ();
           }
         in
+        p.handler <- handler_of p;
         arm p;
         p)
   in
-  { procs; heap; cache; total_steps = 0; events = []; dead = false }
+  let rec t =
+    {
+      procs;
+      heap;
+      cache;
+      total_steps = 0;
+      ev = [||];
+      ev_len = 0;
+      dead = false;
+      j_ints = [||];
+      j_labels = [||];
+      j_fps = [||];
+      j_traces = [||];
+      j_len = 0;
+      pop_step = (fun () -> pop_step t);
+    }
+  in
+  t
 
 let num_procs t = Array.length t.procs
 
 (* The LOGICAL run state.  A [stale] process (rolled back, continuation
    not yet rebuilt -- see [rebuild]) answers from its journal-restored
-   [fin] flag: its [resume] still belongs to the abandoned branch. *)
-let proc_finished p = if p.stale then p.fin else p.resume = None
+   [fin] flag: its [next] still belongs to the abandoned branch. *)
+let proc_finished p = if p.stale then p.fin else match p.next with Idle -> true | _ -> false
 let finished t i = proc_finished t.procs.(i)
 let all_finished t = Array.for_all proc_finished t.procs
 let started t i = t.procs.(i).started
@@ -205,7 +316,11 @@ let pending_footprint t i = if finished t i then None else t.procs.(i).pending_f
 let crash_count t i = t.procs.(i).crash_count
 let step_count t i = t.procs.(i).step_count
 let total_steps t = t.total_steps
-let events t = List.rev t.events
+
+let events t =
+  List.init t.ev_len (fun k ->
+      let e = t.ev.(k) in
+      if e land 1 = 0 then Stepped (e lsr 1) else Crash_event (e lsr 1))
 
 let check_pid t i fn =
   if t.dead then
@@ -217,42 +332,44 @@ let check_pid t i fn =
 (* Rebuild a process whose continuation a rollback invalidated.  The
    journal already restored every plain field to the mark's state; what
    cannot be restored is the one-shot continuation, so it is re-created
-   by re-running the body with [feed_key] pointing at the restored value
-   log: [step] hands each recorded value straight back without
-   suspending (no effect, no thunk -- the heap effects were rolled back
-   and must not re-apply), so the body runs in one stretch to exactly
-   where the original run was suspended and performs one real effect
-   there.  The rebuild runs with [Undo.feeding] set: journal recording
-   is off, and non-idempotent instrumentation around steps checks the
-   flag and skips itself. *)
+   by re-running the body with the domain's {!Undo.feed} pointing at
+   the restored value log: [step] hands each recorded value straight
+   back without suspending (no effect, no thunk -- the heap effects
+   were rolled back and must not re-apply), so the body runs in one
+   stretch to exactly where the original run was suspended and performs
+   one real effect there.  While the feed runs, journal recording is
+   off and [Undo.feeding] is true, so non-idempotent instrumentation
+   around steps skips itself.  The previous feed is put back however
+   the body exits. *)
 let rebuild p =
-  (match p.discard with Some d -> d () | None -> ());
-  p.discard <- None;
-  p.resume <- None;
+  discard p;
   if p.fin then () (* the run had returned: nothing is suspended *)
   else if (not p.started) && p.vlen = 0 then
     (* freshly (re)armed and never stepped: recreate the starter *)
-    p.resume <- Some (fun () -> run_body p)
+    p.next <- Start
   else begin
-    let r = Domain.DLS.get feed_key in
-    let idx = ref 0 in
-    let take () =
-      if !idx < p.vlen then begin
-        let v = p.vlog.(!idx) in
-        incr idx;
-        Some v
-      end
-      else None
-    in
-    let saved = !r in
-    r := take;
-    Fun.protect
-      ~finally:(fun () -> r := saved)
-      (fun () -> Undo.with_feeding (fun () -> run_body p));
-    if !idx < p.vlen then
+    let fd = Undo.feed () in
+    let src = fd.src and idx = fd.idx and len = fd.len in
+    fd.src <- p.vlog;
+    fd.idx <- 0;
+    fd.len <- p.vlen;
+    (match run_body p with
+    | () -> ()
+    | exception e ->
+        fd.src <- src;
+        fd.idx <- idx;
+        fd.len <- len;
+        raise e);
+    let fed = fd.idx in
+    fd.src <- src;
+    fd.idx <- idx;
+    fd.len <- len;
+    if fed < p.vlen then
       invalid_arg "Sim.rollback: rebuild desynchronized (body finished early)";
-    if p.resume = None && not p.fin then
-      invalid_arg "Sim.rollback: rebuild desynchronized (body did not re-suspend)"
+    match p.next with
+    | Idle when not p.fin ->
+        invalid_arg "Sim.rollback: rebuild desynchronized (body did not re-suspend)"
+    | _ -> ()
   end;
   p.stale <- false
 
@@ -268,49 +385,23 @@ let step_proc t i =
      procs that are next crashed, or never touched before the enclosing
      rollback, never pay for a rebuild. *)
   if p.stale then rebuild p;
-  match p.resume with
-  | None ->
+  (match p.next with
+  | Idle ->
       invalid_arg
         (Printf.sprintf
            "Sim.step_proc: process %d has finished (crash it to restart it, or \
             consult [finished] before stepping)"
            i)
-  | Some r ->
-      (* One journal entry per step covers every plain field the step
-         (and the continuation machinery it triggers) may change.  The
-         continuation itself cannot be restored -- popping this entry
-         marks the proc [stale] and [rollback] rebuilds it by feeding
-         the restored [vlen] prefix of the value log. *)
-      if Undo.h_recording p.uh then begin
-        let started = p.started
-        and sc = p.step_count
-        and ts = t.total_steps
-        and evs = t.events
-        and lab = p.pending_label
-        and fp = p.pending_fp
-        and tr = p.trace
-        and vl = p.vlen
-        and fin = p.fin in
-        Undo.h_log p.uh (fun () ->
-            p.started <- started;
-            p.step_count <- sc;
-            t.total_steps <- ts;
-            t.events <- evs;
-            p.pending_label <- lab;
-            p.pending_fp <- fp;
-            p.trace <- tr;
-            p.vlen <- vl;
-            p.fin <- fin;
-            p.stale <- true)
-      end;
-      p.resume <- None;
-      p.discard <- None;
-      p.started <- true;
-      p.step_count <- p.step_count + 1;
-      t.total_steps <- t.total_steps + 1;
-      t.events <- Stepped i :: t.events;
-      (match t.cache with None -> r () | Some c -> Persist.in_step c i r);
-      true
+  | Start | Suspended _ -> ());
+  (* One journal entry per step covers every plain field the step (and
+     the continuation machinery it triggers) may change. *)
+  if Undo.h_recording p.uh then push_step t p;
+  p.started <- true;
+  p.step_count <- p.step_count + 1;
+  t.total_steps <- t.total_steps + 1;
+  push_event t (i lsl 1);
+  (match t.cache with None -> advance p | Some c -> Persist.in_step c i advance p);
+  true
 
 (* Crash process [i]: its local state (continuation) is lost, the shared
    heap is untouched, and the process will re-execute its code from the
@@ -328,10 +419,11 @@ let crash t i =
      re-armed run overwrites vlog slots from index 0 -- so a crash entry
      must snapshot the pre-crash vlog contents, not just its length.
      Popped after the re-armed run's own step entries (LIFO), it puts
-     the pre-crash run back for re-feeding. *)
+     the pre-crash run back for re-feeding.  Crashes are a few percent
+     of the explorer's edges, so this entry stays a closure. *)
   if Undo.h_recording p.uh then begin
     let cc = p.crash_count
-    and evs = t.events
+    and ev_len = t.ev_len
     and started = p.started
     and lab = p.pending_label
     and fp = p.pending_fp
@@ -341,7 +433,7 @@ let crash t i =
     and fin = p.fin in
     Undo.h_log p.uh (fun () ->
         p.crash_count <- cc;
-        t.events <- evs;
+        t.ev_len <- ev_len;
         p.started <- started;
         p.pending_label <- lab;
         p.pending_fp <- fp;
@@ -351,12 +443,12 @@ let crash t i =
         p.fin <- fin;
         p.stale <- true)
   end;
-  (match p.discard with Some d -> d () | None -> ());
+  discard p;
   (match t.cache with
   | None -> ()
   | Some c -> Persist.on_crash c ~pid:i ~crashes:p.crash_count);
   p.crash_count <- p.crash_count + 1;
-  t.events <- Crash_event i :: t.events;
+  push_event t ((i lsl 1) lor 1);
   arm p
 
 (* Crash every process at once: the simultaneous-crash model of Section 2. *)
@@ -400,12 +492,7 @@ let fence () =
    particular -- must call this before dropping a system. *)
 let abandon t =
   if not t.dead then begin
-    Array.iter
-      (fun p ->
-        (match p.discard with Some d -> d () | None -> ());
-        p.discard <- None;
-        p.resume <- None)
-      t.procs;
+    Array.iter discard t.procs;
     t.dead <- true
   end
 
@@ -477,7 +564,7 @@ let add_proc_section ~graded b p =
     Buffer.add_char b ',';
     Heap.add_int b p.crash_count
   end;
-  (* [proc_finished], not [p.resume]: a stale proc's [resume] belongs to
+  (* [proc_finished], not [p.next]: a stale proc's [next] belongs to
      the abandoned branch, but [fin]/[started]/[pending_label]/[trace]
      are journal-restored, so the section stays byte-identical to a
      rebuilt (or replayed) proc's. *)

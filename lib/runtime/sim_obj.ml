@@ -16,7 +16,8 @@ type ('s, 'o, 'r) t = {
   mutable hslot : Heap.slot option; (* fingerprint-cache slot, if registered *)
   apply_spec : 's -> 'o -> 's * 'r;
   equal_state : 's -> 's -> bool;
-  obj_name : string;
+  label : string option; (* the object's name, as the label of its update steps *)
+  read_label : string option; (* [name ^ ".read"], the label of its reads, built once *)
   oid : int; (* per-execution object id, for step footprints *)
   op_kind : 'o -> Footprint.kind; (* footprint classification of updates *)
 }
@@ -34,7 +35,8 @@ let alloc ~equal_state ~apply ~name ?(op_kind = fun _ -> Footprint.Update) init 
       hslot = None;
       apply_spec = apply;
       equal_state;
-      obj_name = name;
+      label = Some name;
+      read_label = Some (name ^ ".read");
       oid = Footprint.fresh_oid ();
       op_kind;
     }
@@ -117,7 +119,7 @@ let set_state t state =
   Heap.touch t.hslot
 
 let apply t op =
-  Sim.step ~label:t.obj_name ~fp:(footprint t (t.op_kind op)) (fun () ->
+  Sim.step ?label:t.label ~fp:(footprint t (t.op_kind op)) (fun () ->
       let state, resp = t.apply_spec t.state op in
       match t.line with
       | None ->
@@ -131,7 +133,7 @@ let apply t op =
           resp)
 
 let read t =
-  Sim.step ~label:(t.obj_name ^ ".read") ~fp:(footprint t Footprint.Read) (fun () -> t.state)
+  Sim.step ?label:t.read_label ~fp:(footprint t Footprint.Read) (fun () -> t.state)
 
 let flush t = Sim.flush ~fp:(footprint t Footprint.Flush) t.line
 
@@ -142,7 +144,7 @@ let rec read_persist t =
   let q = read t in
   flush t;
   let q', clean =
-    Sim.step ~label:(t.obj_name ^ ".read") ~fp:(footprint t Footprint.Sync) (fun () ->
+    Sim.step ?label:t.read_label ~fp:(footprint t Footprint.Sync) (fun () ->
         (t.state, match t.line with None -> true | Some l -> Persist.owner l = None))
   in
   if clean && t.equal_state q q' then q' else read_persist t

@@ -8,7 +8,10 @@
     simulation — cell contents, cache-line state, process counters,
     container growth, digest registrations, allocator counters — to its
     state when the mark was taken, without replaying the schedule
-    prefix.
+    prefix.  A closure may be allocated once and pop state its owner
+    keeps elsewhere: the simulator journals each step that way, with
+    one preallocated closure per system over flat stacks of saved
+    fields.
 
     With no journal installed every hook degenerates to one branch, so
     code outside the undo engine (unit tests, checkers, the explorer's
@@ -57,8 +60,18 @@ val feeding : unit -> bool
     instrumentation (history appends, recovery counters) must check this
     flag and skip itself. *)
 
-val with_feeding : (unit -> 'a) -> 'a
-(** Run with the {!feeding} flag set (exception-safe). *)
+(** {2 The rebuild feed} *)
+
+type feed = { mutable src : Obj.t array; mutable idx : int; mutable len : int }
+(** The calling domain's rebuild feed: {!Sim.step} returns
+    [src.(idx)] and advances [idx] while [idx < len], instead of
+    suspending.  [len < 0] means no rebuild is running (and {!feeding}
+    is false); [len >= 0] means one is, including after the values are
+    used up.  Only the simulator's rebuild sets it, and it restores the
+    previous contents when the rebuild ends, normally or not. *)
+
+val feed : unit -> feed
+(** The calling domain's feed record (one per domain, never replaced). *)
 
 (** {2 Hot-path handles}
 

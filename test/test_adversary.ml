@@ -318,6 +318,104 @@ let test_artifact_round_trip () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "fingerprint mismatch not detected")
 
+(* --- artifact loaders --- *)
+
+let with_field k v = function
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k', x) -> if k' = k then (k, v) else (k', x)) kvs)
+  | j -> j
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let refused ~sub f =
+  match f () with
+  | _ -> Alcotest.fail ("accepted; expected a refusal naming " ^ sub)
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %S" msg sub) true (contains ~sub msg)
+
+(* Locate the committed checkpoint from wherever the runner is cwd'd. *)
+let find_fixture () =
+  let rec go dir depth =
+    if depth > 6 then Alcotest.fail "cannot locate test/fixtures/s2_dedup_budget1000.checkpoint.json"
+    else
+      let f = Filename.concat dir "test/fixtures/s2_dedup_budget1000.checkpoint.json" in
+      if Sys.file_exists f then f else go (Filename.concat dir "..") (depth + 1)
+  in
+  go "." 0
+
+let test_loaders_check_version () =
+  let module Cex = Rcons.Counterexample in
+  let cp = Json.parse_exn (In_channel.with_open_bin (find_fixture ()) In_channel.input_all) in
+  ignore (Explore.checkpoint_of_json cp);
+  refused ~sub:"version 99" (fun () -> Explore.checkpoint_of_json (with_field "version" (Json.Int 99) cp));
+  refused ~sub:{|field "version": expected int|} (fun () ->
+      Explore.checkpoint_of_json (with_field "version" (Json.String "1") cp));
+  let cex =
+    Cex.to_json
+      {
+        Cex.workload = Cex.team2 "S2";
+        msg = "agreement violated";
+        schedule = [ Explore.Step_choice 0 ];
+        shrunk_from = None;
+        provenance = None;
+      }
+  in
+  ignore (Cex.of_json cex);
+  refused ~sub:"version 2" (fun () -> Cex.of_json (with_field "version" (Json.Int 2) cex))
+
+let test_loaders_name_fields () =
+  (* A value of the wrong type is named by its field, not by the Json
+     accessor that tripped over it. *)
+  let module Cex = Rcons.Counterexample in
+  let cp = Json.parse_exn (In_channel.with_open_bin (find_fixture ()) In_channel.input_all) in
+  refused ~sub:{|field "max_crashes": expected int|} (fun () ->
+      Explore.checkpoint_of_json (with_field "max_crashes" (Json.String "2") cp));
+  refused ~sub:{|field "cursor": expected list|} (fun () ->
+      Explore.checkpoint_of_json (with_field "cursor" (Json.Int 0) cp));
+  refused ~sub:{|field "visited": expected string|} (fun () ->
+      Explore.checkpoint_of_json (with_field "visited" (Json.List [ Json.Int 0 ]) cp));
+  let cex =
+    Cex.to_json
+      {
+        Cex.workload = Cex.team2 "S2";
+        msg = "agreement violated";
+        schedule = [ Explore.Step_choice 0 ];
+        shrunk_from = None;
+        provenance = None;
+      }
+  in
+  let workload = Json.field "workload" cex in
+  refused ~sub:{|field "level": expected int|} (fun () ->
+      Cex.of_json (with_field "workload" (with_field "level" (Json.String "2") workload) cex));
+  refused ~sub:{|field "msg": expected string|} (fun () -> Cex.of_json (with_field "msg" Json.Null cex))
+
+let test_resume_truncated_visited_refused () =
+  (* A dedup checkpoint whose visited list was cut resumes to wrong
+     totals (the cut states are expanded again), so the loader checks
+     the list against stats.distinct_states.  The cut copy is made here;
+     the committed fixture stays as it is. *)
+  let fixture = find_fixture () in
+  let cp = Explore.load_checkpoint ~file:fixture in
+  let json = Json.parse_exn (In_channel.with_open_bin fixture In_channel.input_all) in
+  let visited = Json.to_list (Json.field "visited" json) in
+  Alcotest.(check int) "the fixture lists every state" (Explore.checkpoint_stats cp).Explore.distinct_states
+    (List.length visited);
+  let write j =
+    let file = Filename.temp_file "rcons_ckpt" ".json" in
+    Out_channel.with_open_bin file (fun oc -> output_string oc (Json.to_string j));
+    file
+  in
+  let cut = write (with_field "visited" (Json.List (List.filteri (fun i _ -> i < 10) visited)) json) in
+  refused ~sub:"visited lists 10 states" (fun () -> Explore.load_checkpoint ~file:cut);
+  Sys.remove cut;
+  let dup =
+    write (with_field "visited" (Json.List (List.hd visited :: List.tl (List.rev visited))) json)
+  in
+  refused ~sub:"twice" (fun () -> Explore.load_checkpoint ~file:dup);
+  Sys.remove dup
+
 let suite =
   [
     Alcotest.test_case "same seed => same schedule (all policies)" `Quick test_seed_determinism;
@@ -340,4 +438,8 @@ let suite =
     Alcotest.test_case "resume: workload mismatch refused" `Quick
       test_resume_workload_mismatch_refused;
     Alcotest.test_case "counterexample artifact round-trip" `Quick test_artifact_round_trip;
+    Alcotest.test_case "artifact loaders check the version" `Quick test_loaders_check_version;
+    Alcotest.test_case "artifact type errors name the field" `Quick test_loaders_name_fields;
+    Alcotest.test_case "resume: truncated visited list refused" `Quick
+      test_resume_truncated_visited_refused;
   ]

@@ -152,6 +152,39 @@ let test_events_recorded () =
   | [ Sim.Stepped 0; Sim.Crash_event 1; Sim.Stepped 1 ] -> ()
   | evs -> Alcotest.fail (Printf.sprintf "unexpected events (%d)" (List.length evs))
 
+let show_events evs =
+  String.concat " "
+    (List.map
+       (function Sim.Stepped i -> Printf.sprintf "s%d" i | Sim.Crash_event i -> Printf.sprintf "c%d" i)
+       evs)
+
+let test_events_roll_back () =
+  (* The event log is part of the journaled state: a rollback truncates
+     it to the mark, and later events append after the mark's. *)
+  Undo.install ();
+  Fun.protect ~finally:Undo.uninstall @@ fun () ->
+  let t =
+    Sim.create ~n:2 (fun _ () ->
+        let c = Cell.make 0 in
+        Cell.write c 1;
+        Cell.write c 2)
+  in
+  ignore (Sim.step_proc t 0);
+  ignore (Sim.step_proc t 1);
+  let before = Sim.events t in
+  let m = Sim.mark t in
+  ignore (Sim.step_proc t 0);
+  Sim.crash t 1;
+  ignore (Sim.step_proc t 1);
+  ignore (Sim.step_proc t 0);
+  Alcotest.(check string) "after the mark" "s0 s1 s0 c1 s1 s0" (show_events (Sim.events t));
+  Sim.rollback t m;
+  Alcotest.(check string) "rolled back to the mark" (show_events before) (show_events (Sim.events t));
+  Alcotest.(check string) "oldest first" "s0 s1" (show_events (Sim.events t));
+  ignore (Sim.step_proc t 1);
+  Alcotest.(check string) "appends after the mark" "s0 s1 s1" (show_events (Sim.events t));
+  Sim.abandon t
+
 (* --- cells, objects, growable arrays --- *)
 
 let test_sim_obj () =
@@ -290,6 +323,24 @@ let test_explore_budget () =
   | exception Explore.Budget_exceeded stats ->
       Alcotest.(check bool) "budget reported" true (stats.Explore.nodes > 500)
 
+let test_explore_allocation_bound () =
+  (* The undo engine's per-edge allocation, pinned from above on the
+     1-crash raw sweep of Figure 2 on S_2: a journal entry, a held
+     continuation and the invariant check allocate nothing per step
+     beyond the step's own effect and thunk.  Minor words are exact on
+     one domain, so the bound does not depend on the host. *)
+  let mk =
+    match Rcons.Counterexample.mk (Rcons.Counterexample.team2 "S2") with
+    | Ok mk -> mk
+    | Error e -> Alcotest.fail e
+  in
+  let w0 = Gc.minor_words () in
+  let st = Explore.explore ~max_crashes:1 ~mk () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "nodes" 112_674 st.Explore.nodes;
+  let per_node = words /. float_of_int st.Explore.nodes in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words/node <= 120" per_node) true (per_node <= 120.)
+
 let suite =
   [
     Alcotest.test_case "step granularity" `Quick test_step_granularity;
@@ -301,6 +352,7 @@ let suite =
     Alcotest.test_case "crash_all (simultaneous model)" `Quick test_crash_all;
     Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
     Alcotest.test_case "events recorded" `Quick test_events_recorded;
+    Alcotest.test_case "events roll back with the journal" `Quick test_events_roll_back;
     Alcotest.test_case "simulated objects" `Quick test_sim_obj;
     Alcotest.test_case "growable arrays" `Quick test_growable;
     Alcotest.test_case "round robin terminates" `Quick test_round_robin_terminates;
@@ -311,4 +363,6 @@ let suite =
     Alcotest.test_case "explorer: detects violations" `Quick test_explore_detects_violation;
     Alcotest.test_case "explorer: crash pruning" `Quick test_explore_crash_pruning;
     Alcotest.test_case "explorer: node budget" `Quick test_explore_budget;
+    Alcotest.test_case "explorer: allocation per node is bounded" `Quick
+      test_explore_allocation_bound;
   ]
